@@ -5,9 +5,7 @@ verifies the multiplicity-one inequality over a large range, reproduces
 the two-case outcome, excludes the nine-dimensional case twice (symbolic
 modular chain and brute degree scan), and assembles the final verdict.
 
-The tuple scan runs on the compiled kernel from _scan when that extension
-is importable and the range fits 64-bit arithmetic; otherwise on the pure
-Python twin in scan.py. Both produce identical survivor lists.
+The tuple scan runs on the pure-Python kernel in scan.py.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import scan as _pyscan
 from .betti import Case2Betti, check_betti_gate, derive_case2_betti
 from .constraints import (
     ConstraintResult,
@@ -31,27 +28,20 @@ from .constraints import (
 )
 from .lattice import DivisorClass, LatticeParams, solve_basis_change
 from .ringeval import IntersectionTable, expand_product, solve_unknowns
-
-try:  # compiled kernel is optional
-    from . import _scan as _cyscan
-except ImportError:
-    _cyscan = None
-
-#: n-range the compiled kernel accepts without risking 64-bit overflow
-_KERNEL_N_LIMIT = 20000
+from .scan import scan_chunk
 
 CASE1 = (4, 1, 3, 2, 2, 1)
 CASE2 = (9, 1, 3, 2, 6, 4)
 
 
 def scan_backend() -> str:
-    return "cython" if _cyscan is not None else "python"
+    """Name of the scan kernel, reported as meta.backend."""
+    return "python"
 
 
-def _scan_range(n_lo, n_hi, a_max_override=None, use_hc_axiom=True):
-    if _cyscan is not None and n_hi <= _KERNEL_N_LIMIT:
-        return _cyscan.scan_chunk(n_lo, n_hi, a_max_override, use_hc_axiom)
-    return _pyscan.scan_chunk(n_lo, n_hi, a_max_override, use_hc_axiom)
+# The serial scan and the pool task both call the kernel through this
+# module-level name, so a caller can wrap it in one place (perfbench does).
+_scan_range = scan_chunk
 
 
 def _scan_task(args):
@@ -125,9 +115,14 @@ def a1_ratio_stride_increases(n: int) -> bool:
 
     The exponent in RHS steps up exactly once every 4 values of n, so the
     ratio is only monotone along that stride (within a stride the ratio
-    can dip). Checked by integer cross multiplication.
+    can dip). The claim is the cross multiplication
+    _a1_rhs(n+4) * (n+1)^2 > _a1_rhs(n) * (n+5)^2. With e = (n+1)//4 we
+    have (n+5)//4 = e+1, so _a1_rhs(n) = 2^e*e*(e+1) and
+    _a1_rhs(n+4) = 2^(e+1)*(e+1)*(e+2). Dividing both sides by
+    2^e*(e+1) > 0 leaves the closed form below, with no power of two.
     """
-    return _a1_rhs(n + 4) * (n + 1) ** 2 > _a1_rhs(n) * (n + 5) ** 2
+    e = (n + 1) // 4
+    return 2 * (e + 2) * (n + 1) ** 2 > e * (n + 5) ** 2
 
 
 def check_a1_inequality(n: int) -> ConstraintResult:

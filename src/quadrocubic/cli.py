@@ -119,6 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -127,22 +132,28 @@ def run_cli(argv: list[str] | None = None) -> int:
         return 2 if exc.code else 0
 
     if args.command == "verify":
-        report = verify_main_theorem(
-            n_max=args.n_max,
-            ineq_max=args.ineq_max,
-            use_hc_axiom=not args.no_axiom_hc,
-            workers=args.threads,
-        )
+        try:
+            report = verify_main_theorem(
+                n_max=args.n_max,
+                ineq_max=args.ineq_max,
+                use_hc_axiom=not args.no_axiom_hc,
+                workers=args.threads,
+            )
+        except ValueError as exc:
+            return _usage_error(exc)
         config = {"n_max": args.n_max, "ineq_max": args.ineq_max,
                   "hc_axiom": not args.no_axiom_hc, "threads": args.threads}
         _emit(report_document(report, config), args.json, args.report)
         return 0 if report.conclusion == "quadro-cubic unique" else 1
 
     if args.command == "enumerate":
-        survivors = enumerate_candidates(
-            args.n_max, a_max_override=args.a_max,
-            use_hc_axiom=not args.no_axiom_hc,
-        )
+        try:
+            survivors = enumerate_candidates(
+                args.n_max, a_max_override=args.a_max,
+                use_hc_axiom=not args.no_axiom_hc,
+            )
+        except ValueError as exc:
+            return _usage_error(exc)
         if args.json:
             doc = {"n_max": args.n_max, "survivors": [list(s.as_tuple()) for s in survivors]}
             sys.stdout.write(json.dumps(doc, indent=2) + "\n")
@@ -196,3 +207,7 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from quadrocubic import scan as pyscan
 from quadrocubic.classify import (
     CASE1,
     CASE2,
+    _a1_rhs,
     a1_inequality_holds,
     a1_ratio_stride_increases,
     check_a1_inequality,
@@ -18,11 +18,75 @@ from quadrocubic.classify import (
     verify_main_theorem,
 )
 from quadrocubic.constraints import check_degree_bound
+from quadrocubic.scan import scan_chunk, visits
 
-try:
-    from quadrocubic import _scan as cyscan
-except ImportError:
-    cyscan = None
+
+def _naive_pow_capped(a, e, cap):
+    r = 1
+    for _ in range(e):
+        r *= a
+        if r > cap:
+            return cap + 1
+    return r
+
+
+def naive_scan(n_lo, n_hi, a_max_override=None, use_hc_axiom=True):
+    """Reference for scan_chunk: every (n, m1, m2, a) up to the a-cap,
+    each pushed through the whole constraint chain, with no loop bound
+    derived from the chain."""
+    out = []
+    for n in range(max(4, n_lo), n_hi + 1):
+        n1sq = (n + 1) ** 2
+        for m1 in range(2, n - 1):
+            e1 = n - m1 - 1
+            gate = 4 * m1 >= 3 * n - 2
+            for m2 in range(1, m1):
+                if gate and m2 > n - m1 - 2:
+                    continue
+                e2 = n - m2 - 1
+                a = 0
+                while True:
+                    a += 1
+                    if a_max_override is not None and a > a_max_override:
+                        break
+                    if _naive_pow_capped(a, e1, n1sq) * (n - m1) * e1 > n1sq:
+                        break
+                    if use_hc_axiom and a >= 2 and 3 * m2 <= 2 * n:
+                        continue
+                    num_c = a * (n + 1) - e2
+                    num_d = a * (n + 1) - e1
+                    if num_c % e1 or num_d % e2:
+                        continue
+                    c = num_c // e1
+                    d = num_d // e2
+                    if not (c > d >= 2):
+                        continue
+                    cdm1 = c * d - 1
+                    if cdm1 % a:
+                        continue
+                    if a * (d - 1) * (n + 1) != e1 * cdm1:
+                        continue
+                    if a * (c - 1) * (n + 1) != e2 * cdm1:
+                        continue
+                    if (m1 - m2 - a * (m1 + 2)) % e1:
+                        continue
+                    if (m2 - m1 - a * (m2 + 2)) % e2:
+                        continue
+                    numer = a * n1sq - (n + 1) * (2 * n - 2 - m1 - m2)
+                    if numer <= 0:
+                        continue
+                    if _naive_pow_capped(a, e2 - 1, n1sq) * e2 * e1 >= n1sq:
+                        continue
+                    if _naive_pow_capped(a, e2 - 1 - e1, n - m1) * e2 < n - m1:
+                        continue
+                    divisor = e1 * e2 * _naive_pow_capped(a, e2, numer)
+                    if divisor > numer or numer % divisor:
+                        continue
+                    eh_pow = _naive_pow_capped(a, e2 + 1, cdm1)
+                    if eh_pow > cdm1 or cdm1 % eh_pow:
+                        continue
+                    out.append((n, a, c, d, m1, m2))
+    return out
 
 
 def test_a1_inequality_examples():
@@ -57,6 +121,12 @@ def test_a1_fast_path_agrees_with_direct_evaluation():
 
 def test_a1_monotonicity_stride4():
     assert all(a1_ratio_stride_increases(n) for n in range(19, 5000))
+
+
+def test_a1_stride_closed_form_matches_cross_multiplication():
+    for n in range(4, 2001):
+        bigint = _a1_rhs(n + 4) * (n + 1) ** 2 > _a1_rhs(n) * (n + 5) ** 2
+        assert a1_ratio_stride_increases(n) == bigint, n
 
 
 def test_closed_form_dims():
@@ -113,21 +183,59 @@ def test_a_max_override():
     assert capped == [CASE1, CASE2]
 
 
-@pytest.mark.skipif(cyscan is None, reason="compiled kernel not built")
-def test_kernel_agrees_with_pure_python():
-    assert cyscan.scan_chunk(4, 150) == pyscan.scan_chunk(4, 150)
-    assert cyscan.scan_chunk(4, 80, None, False) == pyscan.scan_chunk(4, 80, None, False)
-    assert cyscan.scan_chunk(4, 80, 2, True) == pyscan.scan_chunk(4, 80, 2, True)
+@pytest.mark.parametrize("use_hc_axiom", [True, False])
+@pytest.mark.parametrize("a_max", [None, 1, 2, 5])
+def test_kernel_agrees_with_naive_oracle(a_max, use_hc_axiom):
+    expected = sorted(naive_scan(4, 60, a_max, use_hc_axiom))
+    assert sorted(scan_chunk(4, 60, a_max, use_hc_axiom)) == expected
+    split = scan_chunk(4, 30, a_max, use_hc_axiom) + scan_chunk(31, 60, a_max, use_hc_axiom)
+    assert sorted(split) == expected
 
 
-@pytest.mark.skipif(cyscan is None, reason="compiled kernel not built")
-def test_kernel_range_guard():
-    with pytest.raises(OverflowError):
-        cyscan.scan_chunk(4, 20001)
+def _bounded_tuples(n_max, a_max_override, use_hc_axiom):
+    """(all (n, m1, a, m2) passing links 1-3 and the integrality of c,
+    the subset of those that also pass link 7's first inequality), from
+    the naive loop."""
+    domain, kept = set(), set()
+    for n in range(4, n_max + 1):
+        n1sq = (n + 1) ** 2
+        for m1 in range(2, n - 1):
+            e1 = n - m1 - 1
+            for m2 in range(1, m1):
+                if 4 * m1 >= 3 * n - 2 and m2 > n - m1 - 2:
+                    continue
+                e2 = n - m2 - 1
+                a = 1
+                while a_max_override is None or a <= a_max_override:
+                    if min(a**e1, n1sq + 1) * (n - m1) * e1 > n1sq:
+                        break
+                    axiom_ok = not (use_hc_axiom and a >= 2 and 3 * m2 <= 2 * n)
+                    if axiom_ok and (a * (n + 1) - e2) % e1 == 0:
+                        domain.add((n, m1, a, m2))
+                        if min(a ** (e2 - 1), n1sq + 1) * e2 * e1 < n1sq:
+                            kept.add((n, m1, a, m2))
+                    a += 1
+    return domain, kept
+
+
+@pytest.mark.parametrize("use_hc_axiom", [True, False])
+@pytest.mark.parametrize("a_max", [None, 1, 2, 5])
+def test_visits_skip_only_tuples_the_chain_rejects(a_max, use_hc_axiom):
+    # the loop bounds in scan.visits must keep every tuple that can pass
+    # the links they replace, and nothing outside the naive loop's domain
+    domain, kept = _bounded_tuples(60, a_max, use_hc_axiom)
+    visited = [(n, m1, a, m2) for n, m1, a, m2s in visits(4, 60, a_max, use_hc_axiom)
+               for m2 in m2s]
+    assert len(visited) == len(set(visited))
+    assert kept <= set(visited) <= domain
+
+
+def test_enumerate_large_n():
+    assert [s.as_tuple() for s in enumerate_candidates(1000)] == [CASE1, CASE2]
 
 
 def test_scan_backend_reported():
-    assert scan_backend() in ("cython", "python")
+    assert scan_backend() == "python"
 
 
 def test_exclusion_soundness():

@@ -1,9 +1,14 @@
 """Tests for the command-line interface and report serialization."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quadrocubic
 from quadrocubic.cli import run_cli
 
 
@@ -56,6 +61,30 @@ def test_eval_bad_deg_argument(capsys):
 def test_usage_error_without_command(capsys):
     assert run_cli([]) == 2
     assert run_cli(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--n-max", "5"], "need n_max >= 9"),
+    (["enumerate", "--n-max", "3"], "need n_max >= 4"),
+])
+def test_range_below_floor_is_usage_error(argv, message, capsys):
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_module_entry_point_runs_the_command():
+    src = str(Path(quadrocubic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadrocubic", "verify", "--n-max", "9"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "conclusion: quadro-cubic unique" in proc.stdout
 
 
 def test_enumerate_text(capsys):
