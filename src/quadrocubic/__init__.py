@@ -18,7 +18,6 @@ from .classify import (
     ExclusionWitness,
     Step,
     VerificationReport,
-    check_a1_inequality,
     closed_form_dims,
     enumerate_candidates,
     exclude_case2,
@@ -73,7 +72,6 @@ __all__ = [
     "Step",
     "VerificationReport",
     "canonical_class",
-    "check_a1_inequality",
     "closed_form_dims",
     "enumerate_candidates",
     "eval_expr",

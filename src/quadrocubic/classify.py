@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .betti import Case2Betti, check_betti_gate, derive_case2_betti
+from .betti import check_betti_gate, derive_case2_betti
 from .constraints import (
-    ConstraintResult,
     check_congruences,
     check_degree_bound,
     check_eh_divisibility,
@@ -58,8 +57,6 @@ class ConfigTuple:
     d: int
     m1: int
     m2: int
-    d1: int | None = None
-    d2: int | None = None
     provenance: tuple[str, ...] = ()
 
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
@@ -89,6 +86,12 @@ class ExclusionWitness:
     d2_bound: Fraction
     contradiction: str
     steps: tuple[tuple[str, str], ...]
+
+    def as_dict(self) -> dict:
+        """The `exclude-case2 --json` document, also verify's witness."""
+        return {"alpha": self.alpha, "beta_candidates": sorted(self.beta_candidates),
+                "d2_bound": str(self.d2_bound), "contradiction": self.contradiction,
+                "chain": [list(s) for s in self.steps]}
 
 
 class ExclusionFailure(RuntimeError):
@@ -123,18 +126,6 @@ def a1_ratio_stride_increases(n: int) -> bool:
     """
     e = (n + 1) // 4
     return 2 * (e + 2) * (n + 1) ** 2 > e * (n + 5) ** 2
-
-
-def check_a1_inequality(n: int) -> ConstraintResult:
-    """(n+1)^2 > 2^ceil((n-2)/4) * ceil((n-2)/4) * ceil((n+2)/4)."""
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
-    e = (n + 1) // 4
-    rhs = (1 << e) * e * ((n + 5) // 4)
-    atom = {"op": "gt", "lhs": (n + 1) ** 2, "rhs": rhs}
-    result = ConstraintResult("a1-inequality", atom["lhs"] > atom["rhs"], (atom,))
-    assert result.holds == a1_inequality_holds(n)
-    return result
 
 
 def closed_form_dims(n: int) -> tuple[Fraction, Fraction]:
@@ -230,17 +221,18 @@ def _largest_square_free_part(n: int) -> tuple[int, list[int]]:
 def exclude_case2() -> ExclusionWitness:
     """Rule out the tuple (9, 1, 3, 2, 6, 4) by the degree contradiction.
 
-    Symbolic chain: solve the four-monomial system for the unknown
-    intersection numbers as polynomials in d1, d2; integrality of the
-    first two Chern coefficients of the conormal bundle forces the lattice
-    factor k = alpha^2 * beta of d2 = alpha^4 * beta^2 to divide both
-    solved values with d2 == 0 (mod k); eliminating d1 from the two
-    congruences pins k | 119, hence alpha = 1 and beta in {7, 17, 119};
-    every resulting d2 = beta^2 violates the strict bound d2 < 32.
+    Solve the four-monomial system for x = u6 and y = u7 as polynomials
+    in d1, d2, and write d2 = alpha^4 * beta^2. Each path checks a
+    divisibility of x and y that the paper derives from the integrality of
+    the conormal bundle's Chern classes; both are taken as given here.
 
-    Independent brute path: for every d2 in 2..31 and every factorization
-    d2 = alpha^4 * beta^2, no residue of d1 satisfies the divisibility
-    pair alpha^3*beta^2 | x, alpha^2*beta | y. Both paths must agree.
+    Symbolic path: k = alpha^2 * beta divides x and y. Reduced modulo k
+    with d2 == 0 (mod k), eliminating d1 pins k | 119, hence alpha = 1 and
+    beta in {7, 17, 119}; every d2 = beta^2 violates the bound d2 < 32.
+
+    Brute path: for every d2 in 2..31 and every factorization
+    d2 = alpha^4 * beta^2, no residue of d1 satisfies both
+    alpha^3 * beta^2 | x and alpha^2 * beta | y. Both paths must agree.
     """
     steps: list[tuple[str, str]] = []
     solution = solve_unknowns(_case2_system())
@@ -429,16 +421,7 @@ def verify_main_theorem(
         add("case2-betti", False, {"error": str(exc)})
 
     try:
-        excl = exclude_case2()
-        add(
-            "case2-exclusion",
-            True,
-            {"alpha": excl.alpha,
-             "beta_candidates": sorted(excl.beta_candidates),
-             "d2_bound": str(excl.d2_bound),
-             "contradiction": excl.contradiction,
-             "chain": [list(s) for s in excl.steps]},
-        )
+        add("case2-exclusion", True, exclude_case2().as_dict())
         excluded = [CASE2]
     except ExclusionFailure as exc:
         add("case2-exclusion", False, {"error": str(exc)})

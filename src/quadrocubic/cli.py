@@ -65,11 +65,22 @@ def report_document(report: VerificationReport, config: dict) -> dict:
     }
 
 
+def _listed(values: list) -> str:
+    return ", ".join(map(str, values)) or "none"
+
+
 def render_text(document: dict) -> str:
     lines = [f"quadrocubic {document['meta']['version']} "
              f"(scan backend: {document['meta']['backend']})"]
     for step in document["steps"]:
         lines.append(f"[{step['status']}] {step['id']}")
+        if step["id"] == "a1-inequality-range":
+            w = step["witness"]
+            (lo, hi), (low_lo, low_hi) = w["range"], w["low_range"]
+            lines.append(f"    range {lo}..{hi}, holds at: {_listed(w['holds_above_18'])}; "
+                         f"low range {low_lo}..{low_hi}, fails at: "
+                         f"{_listed(w['fails_in_low_range'])} "
+                         f"(the paper states it holds on all of {low_lo}..{low_hi})")
     lines.append(f"survivors: {document['survivors']}")
     lines.append(f"conclusion: {document['conclusion']}")
     return "\n".join(lines) + "\n"
@@ -178,24 +189,18 @@ def run_cli(argv: list[str] | None = None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         try:
-            result = eval_expr(ast, args.n, args.m, deg)
+            # str() raises ValueError on a value past the int-string limit
+            text = str(eval_expr(ast, args.n, args.m, deg))
         except (DegreeMismatch, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        print(result)
+        print(text)
         return 0
 
     if args.command == "exclude-case2":
         witness = exclude_case2()
-        doc = {
-            "alpha": witness.alpha,
-            "beta_candidates": sorted(witness.beta_candidates),
-            "d2_bound": str(witness.d2_bound),
-            "contradiction": witness.contradiction,
-            "chain": [list(s) for s in witness.steps],
-        }
         if args.json:
-            sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+            sys.stdout.write(json.dumps(witness.as_dict(), indent=2) + "\n")
         else:
             for step_id, detail in witness.steps:
                 print(f"[{step_id}] {detail}")

@@ -34,7 +34,9 @@ def _mul(p: TwoGen, q: TwoGen) -> TwoGen:
     return out
 
 
-def _to_two_gen(node: Node) -> TwoGen:
+def _to_two_gen(node: Node, n: int) -> TwoGen:
+    """Expand the expression. A power above n is rejected before any
+    multiplication, so no power costs more than n products."""
     if isinstance(node, IntLit):
         return {(0, 0): Poly.const(node.value)} if node.value else {}
     if isinstance(node, Gen):
@@ -42,20 +44,26 @@ def _to_two_gen(node: Node) -> TwoGen:
     if isinstance(node, Sym):
         return {(0, 0): Poly.symbol(node.name)}
     if isinstance(node, Group):
-        return _to_two_gen(node.inner)
+        return _to_two_gen(node.inner, n)
     if isinstance(node, Pow):
+        base = _to_two_gen(node.base, n)
+        if node.exponent > n:
+            if any(h + e for h, e in base):
+                raise DegreeMismatch(
+                    f"exponent {node.exponent} exceeds n = {n} on a base of positive degree"
+                )
+            raise ValueError(f"exponent {node.exponent} exceeds n = {n} on a scalar base")
         result: TwoGen = {(0, 0): Poly.const(1)}
-        base = _to_two_gen(node.base)
         for _ in range(node.exponent):
             result = _mul(result, base)
         return result
     if isinstance(node, Mul):
-        return _mul(_to_two_gen(node.left), _to_two_gen(node.right))
+        return _mul(_to_two_gen(node.left, n), _to_two_gen(node.right, n))
     if isinstance(node, Add):
-        return _add(_to_two_gen(node.left), _to_two_gen(node.right))
+        return _add(_to_two_gen(node.left, n), _to_two_gen(node.right, n))
     if isinstance(node, Sub):
-        neg = {k: -c for k, c in _to_two_gen(node.right).items()}
-        return _add(_to_two_gen(node.left), neg)
+        neg = {k: -c for k, c in _to_two_gen(node.right, n).items()}
+        return _add(_to_two_gen(node.left, n), neg)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -63,7 +71,7 @@ def eval_expr(ast: Node, n: int, m: int, deg) -> LinearForm:
     """Expand the expression and evaluate each monomial H^(n-k) E^k
     against the table for an m-dimensional center of degree `deg`."""
     table = IntersectionTable(n, m, deg)
-    expansion = _to_two_gen(ast)
+    expansion = _to_two_gen(ast, n)
     bad = sorted(h + e for (h, e) in expansion if h + e != n)
     if bad:
         raise DegreeMismatch(f"expected homogeneous degree {n}, found degree {bad[0]}")

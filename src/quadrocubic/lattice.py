@@ -2,14 +2,14 @@
 
 A divisor class lives in one of two chart bases, {H1, E1} or {H2, E2},
 coming from the two blow-down maps to projective space. The pairing
-numbers a, b, c, d of the hyperplane and exceptional classes against the
+numbers a, c, d of the hyperplane and exceptional classes against the
 two contracted curve classes determine an integral basis change between
 the charts with determinant -1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -27,13 +27,11 @@ class ConstraintViolation(ValueError):
 
 @dataclass(frozen=True)
 class GeometryParams:
-    """Ambient dimension, center dimensions, and (optional) center degrees."""
+    """Ambient dimension n and the two center dimensions m1 > m2."""
 
     n: int
     m1: int
     m2: int
-    d1: int | None = None
-    d2: int | None = None
 
     def __post_init__(self):
         if self.n < 4:
@@ -43,38 +41,25 @@ class GeometryParams:
                 "center-dims",
                 f"need n-2 >= m1 > m2 >= 1, got n={self.n}, m1={self.m1}, m2={self.m2}",
             )
-        for name, deg in (("d1", self.d1), ("d2", self.d2)):
-            if deg is not None and deg < 2:
-                raise ConstraintViolation("center-degree", f"{name}={deg} < 2")
 
 
 @dataclass(frozen=True)
 class LatticeParams:
-    """Pairing numbers a = H1.F2, b = H2.F1, c = E1.F2, d = E2.F1.
+    """Pairing numbers a = H1.F2, c = E1.F2, d = E2.F1.
 
-    b is stored but always set equal to a; the equality is a recorded
-    check (`pairing_symmetry_holds`), not an assumption baked into math
-    elsewhere.
+    The basis change also takes H2.F1 = a: the symmetry of the two
+    hyperplane pairings is part of the setting, not a checked number.
     """
 
     a: int
     c: int
     d: int
-    b: int = field(default=-1)
 
     def __post_init__(self):
-        if self.b == -1:
-            object.__setattr__(self, "b", self.a)
         if self.a <= 0 or self.c <= 0 or self.d <= 0:
             raise ConstraintViolation(
                 "pairing-positivity", f"need a, c, d > 0, got {self.a}, {self.c}, {self.d}"
             )
-
-    def pairing_symmetry_holds(self) -> bool:
-        return self.a == self.b > 0
-
-    def divides_cd_minus_one(self) -> bool:
-        return (self.c * self.d - 1) % self.a == 0
 
 
 @dataclass(frozen=True)
@@ -113,17 +98,6 @@ class DivisorClass:
         return DivisorClass(self.chart, k * self.h, k * self.e)
 
     __rmul__ = scale
-
-    def __str__(self) -> str:
-        return f"{self.h}*H{self.chart} + {self.e}*E{self.chart}"
-
-
-def hyperplane(chart: int) -> DivisorClass:
-    return DivisorClass(chart, 1, 0)
-
-
-def exceptional(chart: int) -> DivisorClass:
-    return DivisorClass(chart, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -181,23 +155,6 @@ def solve_basis_change(lp: LatticeParams) -> BasisChange:
     bc = BasisChange(lp.d, -lp.a, cd_minus_1 // lp.a, -lp.c)
     assert bc.determinant() == -1
     return bc
-
-
-_PAIRING = {
-    # (chart, curve) -> (H.curve, E.curve) as functions of the params
-    (1, "F1"): lambda lp: (0, -1),
-    (1, "F2"): lambda lp: (lp.a, lp.c),
-    (2, "F2"): lambda lp: (0, -1),
-    (2, "F1"): lambda lp: (lp.b, lp.d),
-}
-
-
-def pairing(dc: DivisorClass, curve: str, lp: LatticeParams) -> Fraction:
-    """Intersection of a divisor class with one of the curve classes F1, F2."""
-    if curve not in ("F1", "F2"):
-        raise ValueError(f"curve must be 'F1' or 'F2', got {curve!r}")
-    h_pair, e_pair = _PAIRING[(dc.chart, curve)](lp)
-    return dc.h * h_pair + dc.e * e_pair
 
 
 def canonical_class(chart: int, gp: GeometryParams) -> DivisorClass:

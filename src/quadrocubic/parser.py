@@ -112,6 +112,13 @@ def _tokenize(text: str):
     yield ("end", "", len(text) + 1)
 
 
+def _uint(digits: str, column: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than the interpreter's int-string limit
+        raise ParseError(column, ("shorter integer",), f"{len(digits)}-digit integer") from None
+
+
 class _Parser:
     def __init__(self, text: str):
         if not text.strip():
@@ -180,7 +187,7 @@ class _Parser:
             if kind != "uint":
                 raise ParseError(col, ("unsigned integer",), repr(value) or "end of input")
             self.advance()
-            return Pow(node, int(value))
+            return Pow(node, _uint(value, col))
         return node
 
     def base(self) -> Node:
@@ -191,10 +198,10 @@ class _Parser:
             if kind != "uint":
                 raise ParseError(col, ("unsigned integer",), repr(value) or "end of input")
             self.advance()
-            return IntLit(-int(value))
+            return IntLit(-_uint(value, col))
         if kind == "uint":
             self.advance()
-            return IntLit(int(value))
+            return IntLit(_uint(value, col))
         if kind == "name":
             if value in ("H", "E"):
                 self.advance()

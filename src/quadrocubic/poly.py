@@ -67,9 +67,6 @@ class Poly:
     def coeff(self, exps: Exponents) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def total_degree(self) -> int:
-        return max((i + j for i, j in self.terms), default=0)
-
     # -- arithmetic ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -98,12 +95,6 @@ class Poly:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other) -> "Poly":
         other = as_poly(other)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -48,6 +48,13 @@ def _unknown_key(name: str):
     return (m.group(1), int(m.group(2))) if m else (name, -1)
 
 
+def _coefficient(value) -> Poly:
+    poly = as_poly(value)
+    if poly is NotImplemented:
+        raise TypeError(f"not an exact coefficient: {value!r}")
+    return poly
+
+
 class LinearForm:
     """constant + sum of coeff * unknown, all coefficients exact.
 
@@ -59,11 +66,11 @@ class LinearForm:
     __slots__ = ("constant", "terms")
 
     def __init__(self, constant=0, terms: Mapping[str, object] | None = None):
-        self.constant = as_poly(constant)
+        self.constant = _coefficient(constant)
         clean: dict[str, Poly] = {}
         if terms:
             for name, coeff in terms.items():
-                coeff = as_poly(coeff)
+                coeff = _coefficient(coeff)
                 if coeff:
                     clean[name] = coeff
         self.terms = clean
@@ -83,9 +90,6 @@ class LinearForm:
             other = LinearForm(coerced)
         return self.constant == other.constant and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.constant, frozenset(self.terms.items())))
-
     def __add__(self, other) -> "LinearForm":
         if not isinstance(other, LinearForm):
             other = LinearForm(other)
@@ -104,9 +108,6 @@ class LinearForm:
             other = LinearForm(other)
         return self + (-other)
 
-    def __rsub__(self, other) -> "LinearForm":
-        return LinearForm(other) + (-self)
-
     def scale(self, factor) -> "LinearForm":
         factor = as_poly(factor)
         return LinearForm(
@@ -115,16 +116,6 @@ class LinearForm:
 
     __rmul__ = scale
     __mul__ = scale
-
-    def evaluate(self, unknowns: Mapping[str, object] | None = None, d1=None, d2=None):
-        """Substitute numeric values for unknowns and degree symbols."""
-        unknowns = unknowns or {}
-        total = self.constant.subs(d1=d1, d2=d2)
-        for name, coeff in self.terms.items():
-            if name not in unknowns:
-                raise ValueError(f"no value supplied for unknown {name}")
-            total += coeff.subs(d1=d1, d2=d2) * Fraction(unknowns[name])
-        return total
 
     def __str__(self) -> str:
         parts: list[tuple[str, str]] = []
@@ -180,15 +171,6 @@ class IntersectionTable:
             sign = (-1) ** (codim - 1)
             return LinearForm(as_poly(self.deg) * sign)
         return LinearForm.unknown(f"u{i}")
-
-    def unknown_names(self) -> list[str]:
-        return [f"u{i}" for i in range(self.n - self.m + 1, self.n + 1)]
-
-
-def eh_value(n: int, m: int, deg, i: int) -> LinearForm:
-    """Single table entry: H^(n-i) E^i on a chart with an m-dimensional
-    center of degree `deg`."""
-    return IntersectionTable(n, m, deg).entry(i)
 
 
 def expand_product(
@@ -299,65 +281,3 @@ def solve_unknowns(
         solution[order[col]] = acc.exact_div(row[col])
     return {name: solution[name] for name in order}
 
-
-def chern_from_intersections(x, y, d2):
-    """First two Chern coefficients of the conormal bundle from the two
-    lowest unknown intersection numbers: (-x/d2, x^2/d2^2 - y/d2)."""
-    x, y, d2 = Fraction(x), Fraction(y), Fraction(d2)
-    if d2 == 0:
-        raise ValueError("d2 must be nonzero")
-    return (-x / d2, x * x / (d2 * d2) - y / d2)
-
-
-@dataclass(frozen=True)
-class BundleRelation:
-    """Grothendieck relation data for the projectivized conormal bundle.
-
-    rank is the bundle rank (fiber dimension + 1); chern holds the
-    coefficients c_1..c_rank of its Chern classes against powers of H
-    (a shorter sequence is padded with zeros).
-    """
-
-    rank: int
-    chern: tuple = field(default=())
-
-    def chern_coeff(self, i: int) -> Fraction:
-        if i == 0:
-            return Fraction(1)
-        if 1 <= i <= len(self.chern):
-            return Fraction(self.chern[i - 1])
-        return Fraction(0)
-
-
-def bundle_relation_residual(
-    rel: BundleRelation, table: IntersectionTable
-) -> list[LinearForm]:
-    """Pushed-forward consequences of the Grothendieck relation.
-
-    Multiplies the defining relation of the projectivized bundle by the
-    monomials v^k H^(m-1-k) and integrates against the table; the
-    returned forms all vanish exactly when the Chern coefficients are
-    consistent with the table's unknown entries. Residual 0 recovers the
-    first Chern formula, residual 1 the second.
-    """
-    n, m = table.n, table.m
-    if rel.rank != n - m:
-        raise ValueError(f"rank {rel.rank} does not match codimension {n - m}")
-    r = rel.rank
-
-    def pushed(v_exp: int, h_exp: int) -> LinearForm:
-        # v^v_exp H^h_exp integrated over the exceptional divisor; powers
-        # of H beyond the center dimension vanish on the center
-        if h_exp > m:
-            return LinearForm(0)
-        assert v_exp + h_exp == n - 1
-        return table.entry(v_exp + 1).scale((-1) ** v_exp)
-
-    residuals = []
-    for k in range(m):
-        acc = LinearForm(0)
-        for i in range(r + 1):
-            sign = (-1) ** i
-            acc = acc + pushed(r - i + k, m - 1 - k + i).scale(sign * rel.chern_coeff(i))
-        residuals.append(acc)
-    return residuals

@@ -10,7 +10,6 @@ from quadrocubic.classify import (
     _a1_rhs,
     a1_inequality_holds,
     a1_ratio_stride_increases,
-    check_a1_inequality,
     closed_form_dims,
     enumerate_candidates,
     exclude_case2,
@@ -90,15 +89,10 @@ def naive_scan(n_lo, n_hi, a_max_override=None, use_hc_axiom=True):
 
 
 def test_a1_inequality_examples():
-    r19 = check_a1_inequality(19)
-    assert not r19.holds
-    assert r19.witness[0] == {"op": "gt", "lhs": 400, "rhs": 960}
-    r18 = check_a1_inequality(18)
-    assert r18.holds
-    assert r18.witness[0] == {"op": "gt", "lhs": 361, "rhs": 320}
-    assert not check_a1_inequality(100).holds
-    with pytest.raises(ValueError):
-        check_a1_inequality(3)
+    # (n+1)^2 against the right-hand side: 400 < 960 at 19, 361 > 320 at 18
+    assert _a1_rhs(19) == 960 and not a1_inequality_holds(19)
+    assert _a1_rhs(18) == 320 and a1_inequality_holds(18)
+    assert not a1_inequality_holds(100)
 
 
 def test_a1_inequality_small_range():

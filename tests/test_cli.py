@@ -52,6 +52,41 @@ def test_eval_parse_error_is_usage_error(capsys):
     assert "column" in captured.err
 
 
+@pytest.mark.parametrize("expr, message", [
+    ("H^100000000", "base of positive degree"),
+    ("2^100000000 H^9", "scalar base"),
+    ("H^20 - H^20 + H^9", "base of positive degree"),
+])
+def test_eval_power_above_n_is_rejected_at_once(expr, message):
+    src = str(Path(quadrocubic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadrocubic", "eval", "--n", "9", "--m", "4",
+         "--deg", "2", expr],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+
+
+def test_eval_overlong_literal_is_usage_error(capsys, int_str_limit):
+    code = run_cli(["eval", "--n", "9", "--m", "4", "--deg", "2", "H^" + "9" * 5000])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: column 3: expected shorter integer, found 5000-digit integer\n"
+
+
+def test_eval_value_too_long_to_print_is_evaluation_failure(capsys, int_str_limit):
+    big = "9" * 3000
+    code = run_cli(["eval", "--n", "9", "--m", "4", "--deg", "2", f"{big} {big} H^9"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_eval_bad_deg_argument(capsys):
     code = run_cli(["eval", "--n", "9", "--m", "4", "--deg", "d3", "H^9"])
     assert code == 2
@@ -126,6 +161,9 @@ def test_verify_text_output(capsys):
     assert code == 0
     assert "[pass] theorem-2case" in out
     assert "conclusion: quadro-cubic unique" in out
+    assert ("[pass] a1-inequality-range\n"
+            "    range 19..100000, holds at: none; low range 4..18, fails at: 15, 16 "
+            "(the paper states it holds on all of 4..18)\n") in out
 
 
 def test_verify_report_file(tmp_path, capsys):
@@ -160,3 +198,12 @@ def test_exclude_case2_json(capsys):
     assert doc["beta_candidates"] == [7, 17, 119]
     assert doc["d2_bound"] == "32"
     assert doc["contradiction"] == "49 > 31"
+
+
+def test_exclude_case2_document_is_the_verify_witness(capsys):
+    assert run_cli(["exclude-case2", "--json"]) == 0
+    excl = json.loads(capsys.readouterr().out)
+    assert run_cli(["verify", "--n-max", "9", "--json"]) == 0
+    steps = {s["id"]: s for s in json.loads(capsys.readouterr().out)["steps"]}
+    assert steps["case2-exclusion"]["witness"] == excl
+    assert list(excl) == ["alpha", "beta_candidates", "d2_bound", "contradiction", "chain"]

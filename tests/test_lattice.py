@@ -13,9 +13,6 @@ from quadrocubic.lattice import (
     GeometryParams,
     LatticeParams,
     canonical_class,
-    exceptional,
-    hyperplane,
-    pairing,
     solve_basis_change,
 )
 
@@ -24,8 +21,8 @@ def test_basis_change_case1_params():
     bc = solve_basis_change(LatticeParams(a=1, c=3, d=2))
     # H1 = 2*H2 - E2, E1 = 5*H2 - 3*E2
     assert (bc.m11, bc.m12, bc.m21, bc.m22) == (2, -1, 5, -3)
-    assert bc.apply(hyperplane(1)) == DivisorClass(2, 2, -1)
-    assert bc.apply(exceptional(1)) == DivisorClass(2, 5, -3)
+    assert bc.apply(DivisorClass(1, 1, 0)) == DivisorClass(2, 2, -1)
+    assert bc.apply(DivisorClass(1, 0, 1)) == DivisorClass(2, 5, -3)
     assert bc.determinant() == -1
 
 
@@ -47,23 +44,11 @@ def test_basis_change_divisibility_failure():
     assert info.value.name == "a-divides-cd-minus-1"
 
 
-def test_lattice_params_b_defaults_to_a():
-    lp = LatticeParams(a=3, c=4, d=5)
-    assert lp.b == 3
-    assert lp.pairing_symmetry_holds()
-    assert LatticeParams(a=3, c=4, d=5, b=2).pairing_symmetry_holds() is False
-
-
 def test_lattice_params_positivity():
     with pytest.raises(ConstraintViolation):
         LatticeParams(a=0, c=1, d=1)
     with pytest.raises(ConstraintViolation):
         LatticeParams(a=1, c=-3, d=1)
-
-
-def test_divides_cd_minus_one():
-    assert LatticeParams(a=1, c=3, d=2).divides_cd_minus_one()
-    assert not LatticeParams(a=2, c=2, d=2).divides_cd_minus_one()
 
 
 def test_divisor_class_arithmetic():
@@ -128,18 +113,6 @@ def test_chart_symmetry_swapped_matrix_is_inverse():
         assert prod == (1, 0, 0, 1)
 
 
-def test_pairing_table():
-    lp = LatticeParams(a=1, c=3, d=2)
-    assert pairing(hyperplane(1), "F1", lp) == 0
-    assert pairing(exceptional(2), "F2", lp) == -1
-    assert pairing(hyperplane(1), "F2", lp) == 1
-    assert pairing(exceptional(1), "F2", lp) == 3
-    # chart-2 image of H1 pairs to 0 against F1, matching H1.F1 = 0
-    assert pairing(DivisorClass(2, 2, -1), "F1", lp) == 0
-    with pytest.raises(ValueError):
-        pairing(hyperplane(1), "F3", lp)
-
-
 def test_canonical_class_values():
     assert canonical_class(1, GeometryParams(n=4, m1=2, m2=1)) == DivisorClass(1, -5, 1)
     assert canonical_class(2, GeometryParams(n=9, m1=6, m2=4)) == DivisorClass(2, -10, 4)
@@ -168,10 +141,6 @@ def test_geometry_params_validation():
         GeometryParams(n=4, m1=3, m2=1)  # m1 > n-2
     with pytest.raises(ConstraintViolation):
         GeometryParams(n=4, m1=1, m2=1)  # m1 = m2
-    with pytest.raises(ConstraintViolation):
-        GeometryParams(n=9, m1=6, m2=4, d2=1)  # degree < 2
-    gp = GeometryParams(n=9, m1=6, m2=4, d1=5, d2=5)
-    assert (gp.d1, gp.d2) == (5, 5)
 
 
 def test_basis_change_inverse_unimodularity_guard():

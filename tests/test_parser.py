@@ -89,6 +89,17 @@ def test_parse_errors_carry_position():
         parse_expr("H @ E")
 
 
+def test_overlong_integer_is_parse_error(int_str_limit):
+    # int() refuses digit strings past the interpreter's limit; the parser
+    # must report that as a ParseError at the literal's column
+    digits = "9" * 5000
+    for text, column in ((f"H^{digits}", 3), (f"2H + -{digits}E", 7), (digits, 1)):
+        with pytest.raises(ParseError) as info:
+            parse_expr(text)
+        assert info.value.column == column
+        assert info.value.found == "5000-digit integer"
+
+
 def test_pow_negative_exponent_rejected():
     with pytest.raises(ValueError):
         Pow(Gen("H"), -1)

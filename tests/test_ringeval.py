@@ -8,15 +8,11 @@ import pytest
 from quadrocubic.lattice import DivisorClass, LatticeParams, solve_basis_change
 from quadrocubic.poly import Poly
 from quadrocubic.ringeval import (
-    BundleRelation,
     DegreeMismatch,
     InconsistentSystem,
     IntersectionTable,
     LinearForm,
     RankDeficient,
-    bundle_relation_residual,
-    chern_from_intersections,
-    eh_value,
     expand_product,
     solve_unknowns,
 )
@@ -50,25 +46,27 @@ def _case2_factors(k):
 
 
 def test_eh_value_examples():
-    assert eh_value(9, 4, "d2", 5) == LinearForm(D2)
-    assert eh_value(9, 4, "d2", 3) == LinearForm(0)
-    assert eh_value(4, 2, "d1", 2) == LinearForm(-D1)
-    assert eh_value(9, 4, "d2", 0) == LinearForm(1)
-    assert eh_value(9, 4, "d2", 7) == LinearForm.unknown("u7")
+    table = IntersectionTable(9, 4, "d2")
+    assert table.entry(5) == LinearForm(D2)
+    assert table.entry(3) == LinearForm(0)
+    assert IntersectionTable(4, 2, "d1").entry(2) == LinearForm(-D1)
+    assert table.entry(0) == LinearForm(1)
+    assert table.entry(7) == LinearForm.unknown("u7")
 
 
 def test_eh_value_range_error():
+    table = IntersectionTable(9, 4, "d2")
     with pytest.raises(DegreeMismatch):
-        eh_value(9, 4, "d2", 10)
+        table.entry(10)
     with pytest.raises(DegreeMismatch):
-        eh_value(9, 4, "d2", -1)
+        table.entry(-1)
 
 
 def test_eh_value_sign_parity():
     # the codimension entry flips sign exactly when n - m changes parity
     for n in range(4, 12):
         for m in range(1, n - 1):
-            value = eh_value(n, m, 3, n - m)
+            value = IntersectionTable(n, m, 3).entry(n - m)
             assert value == LinearForm(3 * (-1) ** (n - m - 1))
 
 
@@ -77,10 +75,6 @@ def test_table_validation():
         IntersectionTable(9, 8, "d2")
     with pytest.raises(ValueError):
         IntersectionTable(9, 0, "d2")
-
-
-def test_unknown_names():
-    assert IntersectionTable(9, 4, "d2").unknown_names() == ["u6", "u7", "u8", "u9"]
 
 
 def test_expand_first_system_equation():
@@ -258,59 +252,21 @@ def test_solve_random_integer_systems():
                 assert solution[f"u{i}"] == Poly.const(v)
 
 
-def test_chern_from_intersections():
-    assert chern_from_intersections(0, 0, 7) == (0, 0)
-    assert chern_from_intersections(-5, 0, 5) == (1, 1)
-    x, y, d2 = Fraction(-37), Fraction(-399), Fraction(5)
-    c1, c2 = chern_from_intersections(x, y, d2)
-    assert c1 == -x / d2
-    assert c2 == x * x / d2**2 - y / d2
-    with pytest.raises(ValueError):
-        chern_from_intersections(1, 1, 0)
-
-
-def test_bundle_relation_rank_guard():
-    with pytest.raises(ValueError):
-        bundle_relation_residual(BundleRelation(4), IntersectionTable(9, 4, "d2"))
-
-
-def test_bundle_relation_zero_case():
-    table = IntersectionTable(9, 4, "d2")
-    residuals = bundle_relation_residual(BundleRelation(5), table)
-    zeros = {name: 0 for name in table.unknown_names()}
-    assert all(r.evaluate(zeros, d2=3) == 0 for r in residuals)
-
-
-def test_bundle_relation_recovers_chern_formulas():
-    x, y, d2 = Fraction(7), Fraction(11), Fraction(5)
-    c1, c2 = chern_from_intersections(x, y, d2)
-    table = IntersectionTable(9, 4, "d2")
-    rel = BundleRelation(5, (c1, c2))
-    residuals = bundle_relation_residual(rel, table)
-    values = {"u6": x, "u7": y, "u8": 0, "u9": 0}
-    # residual 0 encodes the first Chern formula, residual 1 the second
-    assert residuals[0].evaluate(values, d2=d2) == 0
-    assert residuals[1].evaluate(values, d2=d2) == 0
-
-
-def test_bundle_relation_perturbation():
-    x, y, d2 = Fraction(7), Fraction(11), Fraction(5)
-    c1, c2 = chern_from_intersections(x, y, d2)
-    table = IntersectionTable(9, 4, "d2")
-    perturbed = BundleRelation(5, (c1 + 1, c2))
-    residuals = bundle_relation_residual(perturbed, table)
-    values = {"u6": x, "u7": y, "u8": 0, "u9": 0}
-    assert residuals[0].evaluate(values, d2=d2) == -d2
-
-
 def test_linear_form_basics():
     u = LinearForm.unknown("u3")
     assert (u + 1) - u == LinearForm(1)
     assert u.scale(0) == LinearForm(0)
     assert str(LinearForm(0)) == "0"
     assert str(LinearForm(-1, {"u2": -1})) == "-1 - u2"
-    with pytest.raises(ValueError):
-        u.evaluate({})
+
+
+def test_linear_form_rejects_inexact_values():
+    for bad in ("x", 1.5, None):
+        with pytest.raises(TypeError):
+            LinearForm(bad)
+        with pytest.raises(TypeError):
+            LinearForm(0, {"u1": bad})
+    assert LinearForm("d1", {"u1": Fraction(1, 2)}) == LinearForm(D1, {"u1": Fraction(1, 2)})
 
 
 def test_linear_form_unknown_ordering():
