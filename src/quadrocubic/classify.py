@@ -393,7 +393,9 @@ def verify_main_theorem(
         "theorem-2case",
         CASE1 in tuples and CASE2 in tuples and not extras,
         {"n_max": n_max, "survivors": tuples, "extras": extras,
-         "hc_axiom": use_hc_axiom},
+         "hc_axiom": use_hc_axiom,
+         # scan.visits settles a = 1 by a lemma that holds for every n
+         "coverage": {"a1": "all n, by the closed-form lemma", "a_ge_2": [4, n_max]}},
     )
 
     closed_ok = True

@@ -81,6 +81,10 @@ def render_text(document: dict) -> str:
                          f"low range {low_lo}..{low_hi}, fails at: "
                          f"{_listed(w['fails_in_low_range'])} "
                          f"(the paper states it holds on all of {low_lo}..{low_hi})")
+        if step["id"] == "theorem-2case":
+            cover = step["witness"]["coverage"]
+            lo, hi = cover["a_ge_2"]
+            lines.append(f"    a = 1: {cover['a1']}; a >= 2: scanned on n = {lo}..{hi}")
     lines.append(f"survivors: {document['survivors']}")
     lines.append(f"conclusion: {document['conclusion']}")
     return "\n".join(lines) + "\n"
@@ -159,6 +163,8 @@ def run_cli(argv: list[str] | None = None) -> int:
 
     if args.command == "enumerate":
         try:
+            if args.a_max is not None and args.a_max < 1:
+                raise ValueError(f"need a_max >= 1, got {args.a_max}")
             survivors = enumerate_candidates(
                 args.n_max, a_max_override=args.a_max,
                 use_hc_axiom=not args.no_axiom_hc,

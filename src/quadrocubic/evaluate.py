@@ -34,9 +34,22 @@ def _mul(p: TwoGen, q: TwoGen) -> TwoGen:
     return out
 
 
+def _reject_above(low: int, n: int):
+    """A product whose lowest total degree is `low` > n has a nonzero term
+    of that degree: its factors' lowest-degree parts are nonzero and the
+    coefficients have no zero divisors. So it is rejected unexpanded."""
+    if low > n:
+        raise DegreeMismatch(f"expected homogeneous degree {n}, found a product of degree {low}")
+
+
+def _low(p: TwoGen) -> int:
+    return min(h + e for h, e in p)
+
+
 def _to_two_gen(node: Node, n: int) -> TwoGen:
     """Expand the expression. A power above n is rejected before any
-    multiplication, so no power costs more than n products."""
+    multiplication, so no power costs more than n products, and neither
+    is a power or product whose lowest degree exceeds n."""
     if isinstance(node, IntLit):
         return {(0, 0): Poly.const(node.value)} if node.value else {}
     if isinstance(node, Gen):
@@ -53,12 +66,17 @@ def _to_two_gen(node: Node, n: int) -> TwoGen:
                     f"exponent {node.exponent} exceeds n = {n} on a base of positive degree"
                 )
             raise ValueError(f"exponent {node.exponent} exceeds n = {n} on a scalar base")
+        if base:
+            _reject_above(node.exponent * _low(base), n)
         result: TwoGen = {(0, 0): Poly.const(1)}
         for _ in range(node.exponent):
             result = _mul(result, base)
         return result
     if isinstance(node, Mul):
-        return _mul(_to_two_gen(node.left, n), _to_two_gen(node.right, n))
+        left, right = _to_two_gen(node.left, n), _to_two_gen(node.right, n)
+        if left and right:
+            _reject_above(_low(left) + _low(right), n)
+        return _mul(left, right)
     if isinstance(node, Add):
         return _add(_to_two_gen(node.left, n), _to_two_gen(node.right, n))
     if isinstance(node, Sub):

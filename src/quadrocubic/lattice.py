@@ -76,29 +76,6 @@ class DivisorClass:
         object.__setattr__(self, "h", Fraction(self.h))
         object.__setattr__(self, "e", Fraction(self.e))
 
-    def _require_same_chart(self, other: "DivisorClass"):
-        if self.chart != other.chart:
-            raise ChartMismatch(
-                f"chart {self.chart} vs chart {other.chart}: convert explicitly first"
-            )
-
-    def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._require_same_chart(other)
-        return DivisorClass(self.chart, self.h + other.h, self.e + other.e)
-
-    def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._require_same_chart(other)
-        return DivisorClass(self.chart, self.h - other.h, self.e - other.e)
-
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.chart, -self.h, -self.e)
-
-    def scale(self, k) -> "DivisorClass":
-        k = Fraction(k)
-        return DivisorClass(self.chart, k * self.h, k * self.e)
-
-    __rmul__ = scale
-
 
 @dataclass(frozen=True)
 class BasisChange:

@@ -109,14 +109,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> "Poly":
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.const(1)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
     def exact_div(self, divisor) -> "Poly":
         """Divide by `divisor`, raising ValueError unless the quotient is
         again a polynomial."""

@@ -100,14 +100,6 @@ class LinearForm:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "LinearForm":
-        return LinearForm(-self.constant, {n: -c for n, c in self.terms.items()})
-
-    def __sub__(self, other) -> "LinearForm":
-        if not isinstance(other, LinearForm):
-            other = LinearForm(other)
-        return self + (-other)
-
     def scale(self, factor) -> "LinearForm":
         factor = as_poly(factor)
         return LinearForm(

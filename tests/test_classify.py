@@ -21,12 +21,8 @@ from quadrocubic.scan import scan_chunk, visits
 
 
 def _naive_pow_capped(a, e, cap):
-    r = 1
-    for _ in range(e):
-        r *= a
-        if r > cap:
-            return cap + 1
-    return r
+    """min(a**e, cap+1), with a**e = 1 for e <= 0, as scan._pow_capped."""
+    return min(a ** max(e, 0), cap + 1)
 
 
 def naive_scan(n_lo, n_hi, a_max_override=None, use_hc_axiom=True):
@@ -215,17 +211,28 @@ def _bounded_tuples(n_max, a_max_override, use_hc_axiom):
 @pytest.mark.parametrize("use_hc_axiom", [True, False])
 @pytest.mark.parametrize("a_max", [None, 1, 2, 5])
 def test_visits_skip_only_tuples_the_chain_rejects(a_max, use_hc_axiom):
-    # the loop bounds in scan.visits must keep every tuple that can pass
-    # the links they replace, and nothing outside the naive loop's domain
+    # for a >= 2 the loop bounds in scan.visits must keep every tuple that
+    # can pass the links they replace, and nothing outside the naive loop's
+    # domain; a = 1 is settled by the lemma, which leaves two tuples
     domain, kept = _bounded_tuples(60, a_max, use_hc_axiom)
     visited = [(n, m1, a, m2) for n, m1, a, m2s in visits(4, 60, a_max, use_hc_axiom)
                for m2 in m2s]
     assert len(visited) == len(set(visited))
-    assert kept <= set(visited) <= domain
+    above_one = {t for t in visited if t[2] >= 2}
+    assert {t for t in kept if t[2] >= 2} <= above_one <= domain
+    assert set(visited) - above_one == {(4, 2, 1, 1), (9, 6, 1, 4)}
+
+
+@pytest.mark.parametrize("use_hc_axiom", [True, False])
+def test_a1_lemma_matches_naive_chain(use_hc_axiom):
+    # the closed-form lemma in scan.visits: with a = 1 the whole chain
+    # keeps exactly the two cases, whatever n
+    assert naive_scan(4, 200, a_max_override=1, use_hc_axiom=use_hc_axiom) == [CASE1, CASE2]
 
 
 def test_enumerate_large_n():
     assert [s.as_tuple() for s in enumerate_candidates(1000)] == [CASE1, CASE2]
+    assert [s.as_tuple() for s in enumerate_candidates(10**4)] == [CASE1, CASE2]
 
 
 def test_scan_backend_reported():
@@ -308,6 +315,8 @@ def test_verify_scope_stated_in_report():
     assert ineq_step.witness["verdict_uses_low_range"] is False
     scan_step = next(s for s in report.steps if s.id == "theorem-2case")
     assert scan_step.witness["n_max"] == 30
+    assert scan_step.witness["coverage"] == {
+        "a1": "all n, by the closed-form lemma", "a_ge_2": [4, 30]}
 
 
 def test_scan_never_evaluates_the_inequality(monkeypatch):

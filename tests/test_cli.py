@@ -71,6 +71,28 @@ def test_eval_power_above_n_is_rejected_at_once(expr, message):
     assert message in proc.stderr
 
 
+@pytest.mark.parametrize("expr, degree", [
+    (" ".join(["(H+E)^9"] * 40), 18),
+    (" ".join(["(H+E)^9"] * 80), 18),
+    ("((((H+E)^9)^9)^9)^9", 81),
+    ("(H^9)(H^9) - (H^9)(H^9) + H^9", 18),
+], ids=["40-factors", "80-factors", "nested-power", "cancelling"])
+def test_eval_product_above_n_is_rejected_before_expansion(expr, degree):
+    # 40 and 80 factors used to take seconds to expand before the final
+    # degree check, nested powers longer; a cancelling product is rejected too
+    src = str(Path(quadrocubic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadrocubic", "eval", "--n", "9", "--m", "4",
+         "--deg", "2", expr],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: expected homogeneous degree 9, found a product of degree {degree}\n")
+
+
 def test_eval_overlong_literal_is_usage_error(capsys, int_str_limit):
     code = run_cli(["eval", "--n", "9", "--m", "4", "--deg", "2", "H^" + "9" * 5000])
     captured = capsys.readouterr()
@@ -138,10 +160,18 @@ def test_enumerate_json(capsys):
 
 
 def test_enumerate_a_max(capsys):
-    code = run_cli(["enumerate", "--n-max", "30", "--a-max", "0", "--json"])
+    code = run_cli(["enumerate", "--n-max", "30", "--a-max", "1", "--json"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert doc["survivors"] == []
+    assert doc["survivors"] == [[4, 1, 3, 2, 2, 1], [9, 1, 3, 2, 6, 4]]
+
+
+@pytest.mark.parametrize("a_max", ["0", "-3"])
+def test_enumerate_a_max_below_one_is_usage_error(a_max, capsys):
+    assert run_cli(["enumerate", "--n-max", "30", "--a-max", a_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: need a_max >= 1, got {a_max}\n"
 
 
 def test_verify_json_document(capsys):
@@ -161,6 +191,8 @@ def test_verify_text_output(capsys):
     assert code == 0
     assert "[pass] theorem-2case" in out
     assert "conclusion: quadro-cubic unique" in out
+    assert ("[pass] theorem-2case\n"
+            "    a = 1: all n, by the closed-form lemma; a >= 2: scanned on n = 4..9\n") in out
     assert ("[pass] a1-inequality-range\n"
             "    range 19..100000, holds at: none; low range 4..18, fails at: 15, 16 "
             "(the paper states it holds on all of 4..18)\n") in out
