@@ -21,7 +21,14 @@ def _add(p: TwoGen, q: TwoGen) -> TwoGen:
     return out
 
 
-def _mul(p: TwoGen, q: TwoGen) -> TwoGen:
+def _mul(p: TwoGen, q: TwoGen, n: int) -> TwoGen:
+    """p*q, rejected unexpanded when its lowest total degree exceeds n: that
+    part of p*q is the product of the factors' nonzero lowest-degree parts,
+    and the coefficients have no zero divisors, so it is nonzero."""
+    if p and q:
+        low = min(h + e for h, e in p) + min(h + e for h, e in q)
+        if low > n:
+            raise DegreeMismatch(f"expected homogeneous degree {n}, found a product of degree {low}")
     out: TwoGen = {}
     for (h1, e1), c1 in p.items():
         for (h2, e2), c2 in q.items():
@@ -34,22 +41,10 @@ def _mul(p: TwoGen, q: TwoGen) -> TwoGen:
     return out
 
 
-def _reject_above(low: int, n: int):
-    """A product whose lowest total degree is `low` > n has a nonzero term
-    of that degree: its factors' lowest-degree parts are nonzero and the
-    coefficients have no zero divisors. So it is rejected unexpanded."""
-    if low > n:
-        raise DegreeMismatch(f"expected homogeneous degree {n}, found a product of degree {low}")
-
-
-def _low(p: TwoGen) -> int:
-    return min(h + e for h, e in p)
-
-
 def _to_two_gen(node: Node, n: int) -> TwoGen:
     """Expand the expression. A power above n is rejected before any
-    multiplication, so no power costs more than n products, and neither
-    is a power or product whose lowest degree exceeds n."""
+    multiplication, so no power costs more than n products, and `_mul`
+    rejects a product whose lowest degree exceeds n before expanding it."""
     if isinstance(node, IntLit):
         return {(0, 0): Poly.const(node.value)} if node.value else {}
     if isinstance(node, Gen):
@@ -66,17 +61,12 @@ def _to_two_gen(node: Node, n: int) -> TwoGen:
                     f"exponent {node.exponent} exceeds n = {n} on a base of positive degree"
                 )
             raise ValueError(f"exponent {node.exponent} exceeds n = {n} on a scalar base")
-        if base:
-            _reject_above(node.exponent * _low(base), n)
         result: TwoGen = {(0, 0): Poly.const(1)}
         for _ in range(node.exponent):
-            result = _mul(result, base)
+            result = _mul(result, base, n)
         return result
     if isinstance(node, Mul):
-        left, right = _to_two_gen(node.left, n), _to_two_gen(node.right, n)
-        if left and right:
-            _reject_above(_low(left) + _low(right), n)
-        return _mul(left, right)
+        return _mul(_to_two_gen(node.left, n), _to_two_gen(node.right, n), n)
     if isinstance(node, Add):
         return _add(_to_two_gen(node.left, n), _to_two_gen(node.right, n))
     if isinstance(node, Sub):

@@ -17,8 +17,8 @@ The constraint chain (cheap kills first), with e1 = n-m1-1, e2 = n-m2-1:
 
 The kernel loops over (n, m1, a, m2), in that order. `visits` settles
 a = 1 by a proved lemma (two tuples, for every n) and, for a >= 2, turns
-links 1-3, the integrality of c and link 7's first inequality into loop
-bounds; `scan_chunk` checks every link per tuple.
+links 1-3, the integrality of c and link 7's first inequality at the
+smallest e2 into loop bounds; `scan_chunk` checks every link per tuple.
 """
 
 from __future__ import annotations
@@ -86,10 +86,11 @@ def visits(
       a^(e2-1)*e2*e1 < N^2, rises in a and in e2. The smallest e2 in the
       m2 range is e2_min = n-m2_hi-1. If 2^(e2_min-1) alone reaches
       2^bit_length(N^2) > N^2, the pair (n, m1) fails at every a >= 2
-      and m2, with no power taken. Otherwise, once the inequality fails
-      at e2_min, it fails at this a and every larger one, so the a-loop
-      stops; while it holds, the e2 where it holds run from e2_min up to
-      some e2_top, which cuts m2 from below at n-1-e2_top.
+      and m2, with no power taken. Where link 1's gate holds, e2_min =
+      n-e1, so without the axiom this settles every (n, m1) once n is
+      large. Otherwise, once the inequality fails at e2_min, it fails at
+      this a and every larger one for every m2 in range, and the a-loop
+      stops.
     - Stride. e1 | a(n+1) - e2 iff m2 = n-1-a(n+1) (mod e1), so m2 steps
       by e1 from the least m2 in range with that residue. These are
       exactly the m2 for which c is an integer.
@@ -122,15 +123,9 @@ def visits(
                     break
                 if _pow_capped(a, e1, n1sq) * (e1 + 1) * e1 > n1sq:
                     break
-                power = _pow_capped(a, e2_min - 1, n1sq)
-                if power * e2_min * e1 >= n1sq:
+                if _pow_capped(a, e2_min - 1, n1sq) * e2_min * e1 >= n1sq:
                     break
-                e2_top = e2_min
-                while power * a * (e2_top + 1) * e1 < n1sq:
-                    power *= a
-                    e2_top += 1
-                m2_lo = max(m2_axiom, n - 1 - e2_top)
-                m2_first = m2_lo + (n - 1 - a * (n + 1) - m2_lo) % e1
+                m2_first = m2_axiom + (n - 1 - a * (n + 1) - m2_axiom) % e1
                 if m2_first <= m2_hi:
                     yield n, m1, a, range(m2_first, m2_hi + 1, e1)
 

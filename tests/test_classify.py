@@ -16,6 +16,7 @@ from quadrocubic.classify import (
     scan_backend,
     verify_main_theorem,
 )
+from quadrocubic import scan
 from quadrocubic.constraints import check_degree_bound
 from quadrocubic.scan import scan_chunk, visits
 
@@ -228,6 +229,18 @@ def test_a1_lemma_matches_naive_chain(use_hc_axiom):
     # the closed-form lemma in scan.visits: with a = 1 the whole chain
     # keeps exactly the two cases, whatever n
     assert naive_scan(4, 200, a_max_override=1, use_hc_axiom=use_hc_axiom) == [CASE1, CASE2]
+
+
+def test_visits_settles_large_n_without_a_power(monkeypatch):
+    # past small n every (n, m1) the a >= 2 loop reaches has link 1's gate
+    # on, so 2^(e2_min-1) > (n+1)^2 and visits moves on with no power taken;
+    # taking one costs about 2*log2(n) products per (n, m1) without the axiom
+    def no_power(a, e, cap):
+        raise AssertionError(f"power taken: {a}^{e}")
+
+    monkeypatch.setattr(scan, "_pow_capped", no_power)
+    for use_hc_axiom in (True, False):
+        assert list(visits(1000, 1100, use_hc_axiom=use_hc_axiom)) == []
 
 
 def test_enumerate_large_n():
