@@ -24,7 +24,6 @@ from .classify import (
     scan_backend,
     verify_main_theorem,
 )
-from .constraints import ConstraintResult
 from .lattice import (
     BasisChange,
     ChartMismatch,
@@ -55,7 +54,6 @@ __all__ = [
     "BasisChange",
     "ChartMismatch",
     "ConfigTuple",
-    "ConstraintResult",
     "ConstraintViolation",
     "DegreeMismatch",
     "DivisorClass",

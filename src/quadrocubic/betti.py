@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constraints import ConstraintResult
-
 
 @dataclass(frozen=True)
 class BettiSeq:
@@ -60,21 +58,12 @@ def blowup_even_betti(center: BettiSeq, n: int, m: int, k: int) -> int:
     return sum(center.at(k - i - 1) for i in range(n - m - 1)) + ambient
 
 
-def difference_relation(
-    aseq: BettiSeq, bseq: BettiSeq, n: int, m1: int, m2: int
-) -> ConstraintResult:
+def difference_relation(aseq: BettiSeq, bseq: BettiSeq, n: int, m1: int, m2: int) -> bool:
     """a_i - a_{i-(n-m1-1)} = b_i - b_{i-(n-m2-1)} at every index."""
-    atoms = []
-    for i in range(n + max(m1, m2) + 2):
-        atoms.append(
-            {
-                "op": "eq",
-                "lhs": aseq.at(i) - aseq.at(i - (n - m1 - 1)),
-                "rhs": bseq.at(i) - bseq.at(i - (n - m2 - 1)),
-            }
-        )
-    holds = all(a["lhs"] == a["rhs"] for a in atoms)
-    return ConstraintResult("betti-difference", holds, tuple(atoms))
+    return all(
+        aseq.at(i) - aseq.at(i - (n - m1 - 1)) == bseq.at(i) - bseq.at(i - (n - m2 - 1))
+        for i in range(n + max(m1, m2) + 2)
+    )
 
 
 def barth_larsen_forced(n: int, m: int, i: int) -> bool:
@@ -154,8 +143,7 @@ def derive_case2_betti() -> Case2Betti:
         raise BettiContradiction("derived sequences are not palindromic")
     if not (aseq.is_positive() and bseq.is_positive()):
         raise BettiContradiction("derived sequences are not positive")
-    relation = difference_relation(aseq, bseq, n, m1, m2)
-    if not relation.holds:
+    if not difference_relation(aseq, bseq, n, m1, m2):
         raise BettiContradiction("derived sequences violate the difference relation")
     steps.append(("replay-invariants", "palindrome, positivity, difference relation"))
     return Case2Betti(aseq, bseq, tuple(steps))

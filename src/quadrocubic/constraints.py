@@ -1,58 +1,18 @@
 """Named numerical constraints on a candidate parameter tuple.
 
-Each predicate is independent and side-effect-free, returns a
-ConstraintResult whose witness re-verifies the verdict by elementary
-arithmetic, and mirrors one derived relation: canonical-class identities,
+Each predicate is independent and side-effect-free, returns its verdict
+as a bool, and mirrors one derived relation: canonical-class identities,
 divisibility of cd-1, congruences on the center dimensions, positivity
 and size estimates, and the degree bound on the smaller center.
 
-Two predicates are imported facts rather than derivations and carry
-axiom=True: the low-codimension criterion forcing multiplicity one, and
+Two predicates are imported facts rather than derivations: the
+low-codimension criterion forcing multiplicity one (check_hc_gate), and
 (in the cohomology module) the forced low-degree Betti numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-
-
-@dataclass(frozen=True)
-class ConstraintResult:
-    """Outcome of one named check, with enough data to re-verify it."""
-
-    id: str
-    holds: bool
-    witness: tuple = field(default=())
-    axiom: bool = False
-
-    def reverify(self) -> bool:
-        """Recompute `holds` from the witness atoms alone."""
-        return all(_check_atom(atom) for atom in self.witness) == self.holds
-
-
-def _check_atom(atom: dict) -> bool:
-    op = atom["op"]
-    if op == "divides":
-        return atom["dividend"] % atom["divisor"] == 0
-    if op == "eq":
-        return atom["lhs"] == atom["rhs"]
-    if op == "gt":
-        return atom["lhs"] > atom["rhs"]
-    if op == "ge":
-        return atom["lhs"] >= atom["rhs"]
-    if op == "lt":
-        return atom["lhs"] < atom["rhs"]
-    if op == "congruent":
-        modulus = atom["mod"]
-        if modulus == 1:
-            return True
-        return (atom["lhs"] - atom["rhs"]) % modulus == 0
-    raise ValueError(f"unknown witness op {op!r}")
-
-
-def _result(cid: str, atoms: list[dict], axiom: bool = False) -> ConstraintResult:
-    return ConstraintResult(cid, all(_check_atom(a) for a in atoms), tuple(atoms), axiom)
 
 
 def katz_cd(n: int, a: int, m1: int, m2: int) -> tuple[Fraction, Fraction]:
@@ -70,67 +30,55 @@ def cd_minus_one(n: int, a: int, m1: int, m2: int) -> Fraction:
     return Fraction(a * num, (n - m1 - 1) * (n - m2 - 1))
 
 
-def check_eh_divisibility(n: int, a: int, m2: int, cd_minus_1: int) -> ConstraintResult:
+def check_eh_divisibility(n: int, a: int, m2: int, cd_minus_1: int) -> bool:
     """a^(n-m2) must divide cd-1."""
-    return _result(
-        "eh-divisibility",
-        [{"op": "divides", "divisor": a ** (n - m2), "dividend": cd_minus_1}],
-    )
+    return cd_minus_1 % a ** (n - m2) == 0
 
 
-def check_estimate(n: int, a: int, m1: int, m2: int) -> ConstraintResult:
+def check_estimate(n: int, a: int, m1: int, m2: int) -> bool:
     """Positivity, divisibility, and the two size inequalities bounding a."""
     e1 = n - m1 - 1
     e2 = n - m2 - 1  # e2 >= 2 since m2 <= n - 3
     numerator = a * (n + 1) ** 2 - (n + 1) * (2 * n - 2 - m1 - m2)
-    atoms = [
-        {"op": "gt", "lhs": numerator, "rhs": 0},
-        {"op": "divides", "divisor": e1 * e2 * a**e2, "dividend": numerator},
-        {"op": "gt", "lhs": (n + 1) ** 2, "rhs": a ** (e2 - 1) * e2 * e1},
-        {"op": "ge", "lhs": a ** (e2 - 1) * e2 * e1, "rhs": a**e1 * (n - m1) * e1},
-    ]
-    return _result("estimate", atoms)
+    middle = a ** (e2 - 1) * e2 * e1
+    return (
+        numerator > 0
+        and numerator % (e1 * e2 * a**e2) == 0
+        and (n + 1) ** 2 > middle >= a**e1 * (n - m1) * e1
+    )
 
 
-def check_congruences(n: int, a: int, m1: int, m2: int) -> ConstraintResult:
+def check_congruences(n: int, a: int, m1: int, m2: int) -> bool:
     """The two congruences on the center dimensions; modulus 1 is vacuous."""
-    atoms = [
-        {"op": "congruent", "lhs": m1 - m2, "rhs": a * (m1 + 2), "mod": n - m1 - 1},
-        {"op": "congruent", "lhs": m2 - m1, "rhs": a * (m2 + 2), "mod": n - m2 - 1},
-    ]
-    return _result("congruences", atoms)
+    return (
+        (m1 - m2 - a * (m1 + 2)) % (n - m1 - 1) == 0
+        and (m2 - m1 - a * (m2 + 2)) % (n - m2 - 1) == 0
+    )
 
 
-def check_degree_bound(d2: int, d: int, a: int, n: int, m2: int) -> ConstraintResult:
+def check_degree_bound(d2: int, d: int, a: int, n: int, m2: int) -> bool:
     """deg of the smaller center is bounded by (d/a)^(n-m2), strictly."""
     if d2 <= 0 or d <= 0 or a <= 0:
         raise ValueError("inputs must be positive")
-    bound = Fraction(d, a) ** (n - m2)
-    return _result("degree-bound", [{"op": "lt", "lhs": Fraction(d2), "rhs": bound}])
+    return d2 < Fraction(d, a) ** (n - m2)
 
 
-def check_katz_consistency(
-    n: int, a: int, c: int, d: int, m1: int, m2: int
-) -> ConstraintResult:
+def check_katz_consistency(n: int, a: int, c: int, d: int, m1: int, m2: int) -> bool:
     """The assembled tuple satisfies both canonical-class identities,
     the divisibility a | cd-1, and c > d >= 2."""
     cdm1 = c * d - 1
-    atoms = [
-        {"op": "divides", "divisor": a, "dividend": cdm1},
-        {"op": "eq", "lhs": a * (d - 1) * (n + 1), "rhs": (n - m1 - 1) * cdm1},
-        {"op": "eq", "lhs": a * (c - 1) * (n + 1), "rhs": (n - m2 - 1) * cdm1},
-        {"op": "gt", "lhs": c, "rhs": d},
-        {"op": "ge", "lhs": d, "rhs": 2},
-    ]
-    return _result("katz-consistency", atoms)
+    return (
+        cdm1 % a == 0
+        and a * (d - 1) * (n + 1) == (n - m1 - 1) * cdm1
+        and a * (c - 1) * (n + 1) == (n - m2 - 1) * cdm1
+        and c > d >= 2
+    )
 
 
-def check_hc_gate(n: int, a: int, m2: int) -> ConstraintResult:
+def check_hc_gate(n: int, a: int, m2: int) -> bool:
     """AXIOM: a small second center forces multiplicity a = 1.
 
     Contrapositive filter: reject a >= 2 whenever 3*m2 <= 2*n (integer
     form of m2 <= 2n/3). Imported, never re-derived here.
     """
-    triggers = a >= 2 and 3 * m2 <= 2 * n
-    atoms = [{"op": "eq", "lhs": int(triggers), "rhs": 0}]
-    return _result("hc-multiplicity-one", atoms, axiom=True)
+    return not (a >= 2 and 3 * m2 <= 2 * n)

@@ -22,13 +22,14 @@ def _add(p: TwoGen, q: TwoGen) -> TwoGen:
 
 
 def _mul(p: TwoGen, q: TwoGen, n: int) -> TwoGen:
-    """p*q, rejected unexpanded when its lowest total degree exceeds n: that
-    part of p*q is the product of the factors' nonzero lowest-degree parts,
-    and the coefficients have no zero divisors, so it is nonzero."""
+    """p*q, rejected unexpanded when its highest total degree exceeds n: that
+    part of p*q is the product of the factors' nonzero highest-degree parts,
+    and the coefficients have no zero divisors, so it is nonzero. Every
+    product that is kept has degree at most n."""
     if p and q:
-        low = min(h + e for h, e in p) + min(h + e for h, e in q)
-        if low > n:
-            raise DegreeMismatch(f"expected homogeneous degree {n}, found a product of degree {low}")
+        top = max(h + e for h, e in p) + max(h + e for h, e in q)
+        if top > n:
+            raise DegreeMismatch(f"expected homogeneous degree {n}, found a product of degree {top}")
     out: TwoGen = {}
     for (h1, e1), c1 in p.items():
         for (h2, e2), c2 in q.items():
@@ -44,7 +45,7 @@ def _mul(p: TwoGen, q: TwoGen, n: int) -> TwoGen:
 def _to_two_gen(node: Node, n: int) -> TwoGen:
     """Expand the expression. A power above n is rejected before any
     multiplication, so no power costs more than n products, and `_mul`
-    rejects a product whose lowest degree exceeds n before expanding it."""
+    rejects a product with any part above degree n before expanding it."""
     if isinstance(node, IntLit):
         return {(0, 0): Poly.const(node.value)} if node.value else {}
     if isinstance(node, Gen):

@@ -1,5 +1,6 @@
 """Tests for the classification pipeline and the case-2 exclusion."""
 
+import os
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from quadrocubic.classify import (
     CASE1,
     CASE2,
     _a1_rhs,
+    _attribute,
     a1_inequality_holds,
     a1_ratio_stride_increases,
     closed_form_dims,
@@ -16,7 +18,7 @@ from quadrocubic.classify import (
     scan_backend,
     verify_main_theorem,
 )
-from quadrocubic import scan
+from quadrocubic import classify, scan
 from quadrocubic.constraints import check_degree_bound
 from quadrocubic.scan import scan_chunk, visits
 
@@ -160,6 +162,30 @@ def test_partition_independence():
         assert parallel == sequential
 
 
+def test_pool_processes_bounded_by_chunks_and_cores(monkeypatch):
+    # a serial stand-in for the executor: 100000 workers must start no
+    # more processes than there are cores, and none is started here
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(classify, "ProcessPoolExecutor", SerialPool)
+    survivors = enumerate_candidates(200, workers=100000)
+    assert [s.as_tuple() for s in survivors] == [CASE1, CASE2]
+    assert requested == [min(197, os.cpu_count() or 1)]
+
+
 def test_no_hc_axiom_gives_superset():
     with_axiom = {s.as_tuple() for s in enumerate_candidates(60)}
     without = {s.as_tuple() for s in enumerate_candidates(60, use_hc_axiom=False)}
@@ -231,6 +257,37 @@ def test_a1_lemma_matches_naive_chain(use_hc_axiom):
     assert naive_scan(4, 200, a_max_override=1, use_hc_axiom=use_hc_axiom) == [CASE1, CASE2]
 
 
+def _passes_attribute(raw, use_hc_axiom):
+    try:
+        _attribute(raw, use_hc_axiom)
+    except RuntimeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("use_hc_axiom", [True, False])
+def test_named_predicates_agree_with_naive_chain(use_hc_axiom):
+    # every (n, m1, m2, a) of the naive loop with integral c, d, including
+    # the m2 the cohomology gate rejects: the named predicates _attribute
+    # re-checks pass exactly the tuples the naive chain keeps
+    passing = set()
+    for n in range(4, 41):
+        n1sq = (n + 1) ** 2
+        for m1 in range(2, n - 1):
+            e1 = n - m1 - 1
+            for m2 in range(1, m1):
+                e2 = n - m2 - 1
+                a = 1
+                while _naive_pow_capped(a, e1, n1sq) * (n - m1) * e1 <= n1sq:
+                    num_c, num_d = a * (n + 1) - e2, a * (n + 1) - e1
+                    if num_c % e1 == 0 and num_d % e2 == 0:
+                        raw = (n, a, num_c // e1, num_d // e2, m1, m2)
+                        if _passes_attribute(raw, use_hc_axiom):
+                            passing.add(raw)
+                    a += 1
+    assert passing == set(naive_scan(4, 40, use_hc_axiom=use_hc_axiom))
+
+
 def test_visits_settles_large_n_without_a_power(monkeypatch):
     # past small n every (n, m1) the a >= 2 loop reaches has link 1's gate
     # on, so 2^(e2_min-1) > (n+1)^2 and visits moves on with no power taken;
@@ -254,7 +311,7 @@ def test_scan_backend_reported():
 
 def test_exclusion_soundness():
     for d2 in (49, 289, 14161):
-        assert not check_degree_bound(d2, 2, 1, 9, 4).holds
+        assert not check_degree_bound(d2, 2, 1, 9, 4)
 
 
 def test_exclude_case2_witness():

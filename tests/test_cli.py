@@ -76,10 +76,14 @@ def test_eval_power_above_n_is_rejected_at_once(expr, message):
     (" ".join(["(H+E)^9"] * 80), 18),
     ("((((H+E)^9)^9)^9)^9", 18),
     ("(H^9)(H^9) - (H^9)(H^9) + H^9", 18),
-], ids=["40-factors", "80-factors", "nested-power", "cancelling"])
+    ("(1+H)(H^9) - (1+H)(H^9) + H^9", 10),
+    (" ".join(["(1+H+E)^9"] * 10), 18),
+], ids=["40-factors", "80-factors", "nested-power", "cancelling", "cancelling-top-part",
+        "degree-0-part"])
 def test_eval_product_above_n_is_rejected_before_expansion(expr, degree):
     # 40 and 80 factors used to take seconds to expand before the final
-    # degree check, nested powers longer; a cancelling product is rejected too
+    # degree check, nested powers longer, and factors with a degree-0 part
+    # about 9 s; a cancelling product is rejected too
     src = str(Path(quadrocubic.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(

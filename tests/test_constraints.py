@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from quadrocubic.constraints import (
-    ConstraintResult,
     cd_minus_one,
     check_congruences,
     check_degree_bound,
@@ -39,106 +38,85 @@ def test_cd_minus_one_identity():
 
 
 def test_eh_divisibility():
-    assert check_eh_divisibility(9, 1, 4, 5).holds
-    assert not check_eh_divisibility(9, 2, 4, 5).holds
-    assert check_eh_divisibility(6, 2, 1, 32).holds
+    assert check_eh_divisibility(9, 1, 4, 5)
+    assert not check_eh_divisibility(9, 2, 4, 5)
+    assert check_eh_divisibility(6, 2, 1, 32)
+    # the exponent is n - m2 = 5: 2^4 divides 16, 2^5 does not
+    assert not check_eh_divisibility(9, 2, 4, 16)
 
 
 def test_estimate_examples():
-    r = check_estimate(4, 1, 2, 1)
-    assert r.holds
-    assert r.witness[0] == {"op": "gt", "lhs": 10, "rhs": 0}
-    assert r.witness[1] == {"op": "divides", "divisor": 2, "dividend": 10}
-    assert check_estimate(9, 1, 6, 4).holds
-    # recorded either way with a full witness
-    r20 = check_estimate(20, 2, 10, 5)
-    assert isinstance(r20.holds, bool)
-    assert len(r20.witness) == 4
-    assert r20.reverify()
+    assert check_estimate(4, 1, 2, 1)
+    assert check_estimate(9, 1, 6, 4)
+    # each fails one part only: numerator 0 is not positive; 8 does not
+    # divide the numerator 35; 2*3^1 divides 60 but 2*3^2 does not
+    assert not check_estimate(6, 1, 2, 1)
+    assert not check_estimate(4, 2, 2, 1)
+    assert not check_estimate(4, 3, 2, 1)
 
 
 def test_congruences():
-    assert check_congruences(4, 1, 2, 1).holds
-    assert check_congruences(9, 1, 6, 4).holds
-    assert not check_congruences(5, 1, 3, 2).holds
+    assert check_congruences(4, 1, 2, 1)
+    assert check_congruences(9, 1, 6, 4)
+    assert not check_congruences(5, 1, 3, 2)
+    # only the second, then only the first congruence fails
+    assert not check_congruences(4, 2, 2, 1)
+    assert not check_congruences(6, 5, 2, 1)
 
 
 def test_degree_bound():
-    assert check_degree_bound(31, 2, 1, 9, 4).holds
-    assert not check_degree_bound(49, 2, 1, 9, 4).holds
-    assert check_degree_bound(1, 2, 1, 9, 4).holds
+    assert check_degree_bound(31, 2, 1, 9, 4)
+    assert not check_degree_bound(49, 2, 1, 9, 4)
+    assert check_degree_bound(1, 2, 1, 9, 4)
     with pytest.raises(ValueError):
         check_degree_bound(0, 2, 1, 9, 4)
 
 
 def test_degree_bound_is_strict_and_exact():
     # the bound for (d=2, a=1, n=9, m2=4) is exactly 32
-    assert check_degree_bound(31, 2, 1, 9, 4).holds
-    assert not check_degree_bound(32, 2, 1, 9, 4).holds
+    assert check_degree_bound(31, 2, 1, 9, 4)
+    assert not check_degree_bound(32, 2, 1, 9, 4)
     # fractional bound: (3/2)^4 = 81/16, so d2 = 5 passes and 6 fails
-    assert check_degree_bound(5, 3, 2, 5, 1).holds
-    assert not check_degree_bound(6, 3, 2, 5, 1).holds
+    assert check_degree_bound(5, 3, 2, 5, 1)
+    assert not check_degree_bound(6, 3, 2, 5, 1)
 
 
 def test_katz_consistency():
-    assert check_katz_consistency(4, 1, 3, 2, 2, 1).holds
-    assert check_katz_consistency(9, 1, 3, 2, 6, 4).holds
-    r = check_katz_consistency(4, 1, 2, 2, 2, 1)
-    assert not r.holds  # c > d violated
+    assert check_katz_consistency(4, 1, 3, 2, 2, 1)
+    assert check_katz_consistency(9, 1, 3, 2, 6, 4)
+    assert not check_katz_consistency(4, 1, 2, 2, 2, 1)  # c > d violated
+    # each fails one part only: c > d (possible only with m1 = m2), a | cd-1,
+    # then each identity
+    assert not check_katz_consistency(4, 4, 9, 9, 1, 1)
+    assert not check_katz_consistency(8, 2, 7, 4, 5, 3)
+    assert not check_katz_consistency(6, 2, 5, 3, 2, 1)
+    assert not check_katz_consistency(4, 2, 7, 3, 2, 1)
 
 
 def test_katz_consistency_reproduces_cd():
     # any tuple passing the consistency check reproduces (c, d) in closed form
     for tup in [(4, 1, 3, 2, 2, 1), (9, 1, 3, 2, 6, 4)]:
         n, a, c, d, m1, m2 = tup
-        assert check_katz_consistency(n, a, c, d, m1, m2).holds
+        assert check_katz_consistency(n, a, c, d, m1, m2)
         assert katz_cd(n, a, m1, m2) == (c, d)
 
 
 def test_katz_identities_hold_for_integral_output():
-    # whenever katz_cd returns integers, the two canonical-class identity
-    # atoms of the assembled tuple hold automatically
+    # whenever katz_cd returns integers, the two canonical-class identities
+    # of the assembled tuple hold automatically
     for n in range(4, 60):
         for m1 in range(2, n - 1):
             for m2 in range(1, m1):
                 c, d = katz_cd(n, 1, m1, m2)
                 if c.denominator != 1 or d.denominator != 1:
                     continue
-                r = check_katz_consistency(n, 1, int(c), int(d), m1, m2)
-                assert r.witness[1]["lhs"] == r.witness[1]["rhs"]
-                assert r.witness[2]["lhs"] == r.witness[2]["rhs"]
+                cdm1 = c * d - 1
+                assert (d - 1) * (n + 1) == (n - m1 - 1) * cdm1
+                assert (c - 1) * (n + 1) == (n - m2 - 1) * cdm1
 
 
 def test_hc_gate():
-    assert check_hc_gate(9, 1, 4).holds
-    assert not check_hc_gate(9, 2, 4).holds
-    assert check_hc_gate(12, 2, 9).holds
-    assert check_hc_gate(9, 2, 4).axiom
-
-
-def test_every_witness_reverifies():
-    results = [
-        check_eh_divisibility(9, 1, 4, 5),
-        check_eh_divisibility(9, 2, 4, 5),
-        check_estimate(4, 1, 2, 1),
-        check_estimate(20, 2, 10, 5),
-        check_congruences(5, 1, 3, 2),
-        check_degree_bound(49, 2, 1, 9, 4),
-        check_katz_consistency(4, 1, 3, 2, 2, 1),
-        check_katz_consistency(4, 1, 2, 2, 2, 1),
-        check_hc_gate(9, 2, 4),
-    ]
-    for r in results:
-        assert r.reverify()
-
-
-def test_reverify_detects_tampering():
-    r = check_eh_divisibility(9, 1, 4, 5)
-    tampered = ConstraintResult(r.id, not r.holds, r.witness, r.axiom)
-    assert not tampered.reverify()
-
-
-def test_unknown_witness_op_rejected():
-    bad = ConstraintResult("x", True, ({"op": "xor", "lhs": 1, "rhs": 1},))
-    with pytest.raises(ValueError):
-        bad.reverify()
+    assert check_hc_gate(9, 1, 4)
+    assert not check_hc_gate(9, 2, 4)
+    assert check_hc_gate(12, 2, 9)
+    assert not check_hc_gate(9, 2, 6)  # 3*m2 = 2*n still triggers
