@@ -16,16 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .betti import check_betti_gate, derive_case2_betti
-from .constraints import (
-    check_congruences,
-    check_degree_bound,
-    check_eh_divisibility,
-    check_estimate,
-    check_hc_gate,
-    check_katz_consistency,
-    katz_cd,
-)
+from .betti import derive_case2_betti
+from .constraints import chain, check_degree_bound, katz_cd
 from .lattice import DivisorClass, LatticeParams, solve_basis_change
 from .ringeval import IntersectionTable, expand_product, solve_unknowns
 from .scan import scan_chunk
@@ -139,19 +131,12 @@ def _attribute(raw: tuple, use_hc_axiom: bool) -> ConfigTuple:
     n, a, c, d, m1, m2 = raw
     if katz_cd(n, a, m1, m2) != (c, d):
         raise RuntimeError(f"kernel survivor {raw} does not reproduce under katz_cd")
-    checks = [
-        ("katz-consistency", check_katz_consistency(n, a, c, d, m1, m2)),
-        ("eh-divisibility", check_eh_divisibility(n, a, m2, c * d - 1)),
-        ("estimate", check_estimate(n, a, m1, m2)),
-        ("congruences", check_congruences(n, a, m1, m2)),
-        ("cohomology-gate", not (check_betti_gate(n, m1) and m2 > n - m1 - 2)),
-    ]
-    if use_hc_axiom:
-        checks.append(("hc-multiplicity-one", check_hc_gate(n, a, m2)))
-    for cid, holds in checks:
+    passed = []
+    for cid, holds in chain(n, a, c, d, m1, m2, use_hc_axiom):
         if not holds:
             raise RuntimeError(f"kernel survivor {raw} fails predicate {cid}")
-    return ConfigTuple(n, a, c, d, m1, m2, provenance=tuple(cid for cid, _ in checks))
+        passed.append(cid)
+    return ConfigTuple(n, a, c, d, m1, m2, provenance=tuple(passed))
 
 
 def enumerate_candidates(

@@ -36,14 +36,10 @@ def _plain(value):
     Integers stay integers, rationals render as 'p/q' in lowest terms,
     everything exotic renders through str(); key order is insertion
     order, which is fixed by construction."""
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
+    if value is None or isinstance(value, (int, str)):  # bool is an int
         return value
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, str):
-        return value
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -158,7 +154,10 @@ def run_cli(argv: list[str] | None = None) -> int:
             return _usage_error(exc)
         config = {"n_max": args.n_max, "ineq_max": args.ineq_max,
                   "hc_axiom": not args.no_axiom_hc, "threads": args.threads}
-        _emit(report_document(report, config), args.json, args.report)
+        try:
+            _emit(report_document(report, config), args.json, args.report)
+        except OSError as exc:
+            return _usage_error(exc)
         return 0 if report.conclusion == "quadro-cubic unique" else 1
 
     if args.command == "enumerate":

@@ -109,30 +109,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def exact_div(self, divisor) -> "Poly":
-        """Divide by `divisor`, raising ValueError unless the quotient is
-        again a polynomial."""
-        divisor = as_poly(divisor)
-        if not divisor:
-            raise ZeroDivisionError("polynomial division by zero")
-        if divisor.is_constant():
-            c = divisor.constant_value()
-            return Poly({e: v / c for e, v in self.terms.items()})
-        quotient: dict[Exponents, Fraction] = {}
-        rem = self
-        lead = max(divisor.terms, key=_monomial_key)
-        lead_c = divisor.terms[lead]
-        while rem:
-            (ri, rj) = max(rem.terms, key=_monomial_key)
-            qi, qj = ri - lead[0], rj - lead[1]
-            if qi < 0 or qj < 0:
-                raise ValueError(f"{self} is not divisible by {divisor}")
-            q = Poly({(qi, qj): rem.terms[(ri, rj)] / lead_c})
-            for e, v in q.terms.items():
-                quotient[e] = quotient.get(e, Fraction(0)) + v
-            rem = rem - q * divisor
-        return Poly(quotient)
-
     def subs(self, d1=None, d2=None):
         """Evaluate at numeric d1/d2; symbols left unset must not occur."""
         total = Fraction(0)
@@ -178,10 +154,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
-
-
-ZERO = Poly()
-ONE = Poly.const(1)
 
 
 def as_poly(value) -> Poly:

@@ -5,8 +5,8 @@ top-degree monomial H^(n-i) E^i evaluates to 1 at i=0, to 0 below the
 center codimension, to a signed center degree at the codimension itself,
 and to a named unknown u_i above it. Products of divisor classes expand
 into affine-linear combinations of those unknowns with polynomial
-constants, and the resulting square systems are solved by fraction-free
-elimination.
+constants, and the resulting square systems, rational in the unknowns'
+coefficients, are solved by elimination with Fraction pivots.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ def _coefficient(value) -> Poly:
 class LinearForm:
     """constant + sum of coeff * unknown, all coefficients exact.
 
-    Coefficients live in the polynomial ring over d1, d2 (they are plain
-    rationals in every system actually solved here). Zero coefficients
-    are never stored; equality is coefficient-wise.
+    Coefficients live in the polynomial ring over d1, d2; solve_unknowns
+    takes only forms whose unknowns have rational coefficients. Zero
+    coefficients are never stored; equality is coefficient-wise.
     """
 
     __slots__ = ("constant", "terms")
@@ -212,13 +212,15 @@ def expand_product(
 def solve_unknowns(
     equations: Sequence[tuple[LinearForm, object]],
 ) -> dict[str, Poly]:
-    """Solve a linear system over the unknowns by fraction-free elimination.
+    """Solve a linear system over the unknowns by Gaussian elimination.
 
     Each equation is (form, required value); the value may be an int,
-    Fraction, degree symbol, or Poly. Pivoting takes the first nonzero
-    entry in the current column, lowest row index first, so repeated runs
-    are byte-identical. Raises InconsistentSystem with the violated
-    combination, or RankDeficient with the pinned/free split.
+    Fraction, degree symbol, or Poly. Pivots are Fractions: a coefficient
+    of an unknown that is not a rational raises ValueError naming it.
+    Pivoting takes the first nonzero entry in the current column, lowest
+    row index first, so repeated runs are byte-identical. Raises
+    InconsistentSystem with the violated combination, or RankDeficient
+    with the pinned/free split.
     """
     names: set[str] = set()
     for form, _ in equations:
@@ -227,49 +229,43 @@ def solve_unknowns(
     index = {name: i for i, name in enumerate(order)}
     width = len(order)
 
-    rows: list[list[Poly]] = []
+    # row = rational coefficients of the unknowns, then the Poly right side
+    rows: list[list] = []
     for form, required in equations:
-        row = [Poly() for _ in range(width + 1)]
+        row: list = [Fraction(0)] * width + [as_poly(required) - form.constant]
         for name, coeff in form.terms.items():
-            row[index[name]] = coeff
-        row[width] = as_poly(required) - form.constant
+            if not coeff.is_constant():
+                raise ValueError(f"coefficient of {name} is not a rational: {coeff}")
+            row[index[name]] = coeff.constant_value()
         rows.append(row)
 
-    # Bareiss forward elimination
-    pivot_rows: list[int] = []
     pivot_cols: list[int] = []
-    prev_pivot = Poly.const(1)
-    r = 0
     for col in range(width):
+        r = len(pivot_cols)
         pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        piv = rows[r][col]
-        for i in range(r + 1, len(rows)):
-            head = rows[i][col]
+        for row in rows[r + 1:]:
+            factor = row[col] / rows[r][col]
             for j in range(col, width + 1):
-                rows[i][j] = (piv * rows[i][j] - head * rows[r][j]).exact_div(prev_pivot)
-        prev_pivot = piv
-        pivot_rows.append(r)
+                row[j] -= factor * rows[r][j]
         pivot_cols.append(col)
-        r += 1
 
-    for i in range(r, len(rows)):
-        if rows[i][width]:
-            raise InconsistentSystem(rows[i][width])
-    if len(pivot_cols) < width:
+    r = len(pivot_cols)
+    for row in rows[r:]:
+        if row[width]:
+            raise InconsistentSystem(row[width])
+    if r < width:
         free = [order[c] for c in range(width) if c not in pivot_cols]
         pinned = [order[c] for c in pivot_cols]
-        raise RankDeficient(len(pivot_cols), pinned, free)
+        raise RankDeficient(r, pinned, free)
 
+    # full rank: row k pivots on column k
     solution: dict[str, Poly] = {}
     for k in reversed(range(width)):
-        row = rows[pivot_rows[k]]
-        col = pivot_cols[k]
-        acc = row[width]
-        for j in range(col + 1, width):
-            acc = acc - row[j] * solution[order[j]]
-        solution[order[col]] = acc.exact_div(row[col])
+        acc = rows[k][width]
+        for j in range(k + 1, width):
+            acc -= rows[k][j] * solution[order[j]]
+        solution[order[k]] = acc * (1 / rows[k][k])
     return {name: solution[name] for name in order}
-

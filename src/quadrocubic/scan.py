@@ -1,29 +1,20 @@
 """Scan kernel for the candidate enumeration.
 
-This is the hot loop of the classification: every admissible
-(n, m1, a, m2) is pushed through the constraint chain, and the handful of
-survivors come back as plain 6-tuples (n, a, c, d, m1, m2).
-
-The constraint chain (cheap kills first), with e1 = n-m1-1, e2 = n-m2-1:
-  1. cohomology gate: if 4*m1 >= 3n-2 then m2 <= n - m1 - 2,
-  2. a bounded by a^e1 * (n-m1) * e1 <= (n+1)^2,
-  3. multiplicity-one axiom (optional): reject a >= 2 with 3*m2 <= 2n,
-  4. integrality of c = (a(n+1)-e2)/e1 and d = (a(n+1)-e1)/e2,
-  5. c > d >= 2, a | cd-1, both canonical-class identities,
-  6. dimension congruences,
-  7. estimate: positivity, a^(e2-1)*e2*e1 < (n+1)^2, the second
-     inequality, divisibility by e1*e2*a^e2,
-  8. a^(n-m2) | cd-1.
-
 The kernel loops over (n, m1, a, m2), in that order. `visits` settles
 a = 1 by a proved lemma (two tuples, for every n) and, for a >= 2, turns
 links 1-3, the integrality of c and link 7's first inequality at the
-smallest e2 into loop bounds; `scan_chunk` checks every link per tuple.
+smallest e2 into proved loop bounds. `scan_chunk` decides each tuple it
+visits with `constraints.chain`, which defines the chain and numbers its
+links, and returns the few survivors as plain 6-tuples
+(n, a, c, d, m1, m2).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+
+from .betti import check_betti_gate
+from .constraints import chain, katz_cd
 
 Survivor = tuple[int, int, int, int, int, int]
 
@@ -110,7 +101,7 @@ def visits(
             if ((e1 + 1) * e1) << e1 > n1sq:
                 break
             m1 = n - 1 - e1
-            m2_hi = min(m1 - 1, n - m1 - 2) if 4 * m1 >= 3 * n - 2 else m1 - 1
+            m2_hi = min(m1 - 1, n - m1 - 2) if check_betti_gate(n, m1) else m1 - 1
             if m2_hi < m2_axiom:
                 continue
             e2_min = n - m2_hi - 1
@@ -136,44 +127,15 @@ def scan_chunk(
     a_max_override: int | None = None,
     use_hc_axiom: bool = True,
 ) -> list[Survivor]:
-    """Survivors of the full constraint chain for n in [n_lo, n_hi]."""
+    """Survivors of the constraint chain for n in [n_lo, n_hi]: each tuple
+    `visits` yields with integral (c, d) that passes `constraints.chain`."""
     out: list[Survivor] = []
     for n, m1, a, m2s in visits(n_lo, n_hi, a_max_override, use_hc_axiom):
-        n1sq = (n + 1) ** 2
-        e1 = n - m1 - 1
-        an1 = a * (n + 1)
-        num_d = an1 - e1
         for m2 in m2s:
-            e2 = n - m2 - 1
-            if num_d % e2:
+            c, d = katz_cd(n, a, m1, m2)
+            if c.denominator != 1 or d.denominator != 1:
                 continue
-            c = (an1 - e2) // e1
-            d = num_d // e2
-            if not (c > d >= 2):
-                continue
-            cdm1 = c * d - 1
-            if cdm1 % a:
-                continue
-            if a * (d - 1) * (n + 1) != e1 * cdm1:
-                continue
-            if a * (c - 1) * (n + 1) != e2 * cdm1:
-                continue
-            if (m1 - m2 - a * (m1 + 2)) % e1:
-                continue
-            if (m2 - m1 - a * (m2 + 2)) % e2:
-                continue
-            numer = a * n1sq - (n + 1) * (2 * n - 2 - m1 - m2)
-            if numer <= 0:
-                continue
-            if _pow_capped(a, e2 - 1, n1sq) * e2 * e1 >= n1sq:
-                continue
-            if _pow_capped(a, e2 - 1 - e1, n - m1) * e2 < n - m1:
-                continue
-            divisor = e1 * e2 * _pow_capped(a, e2, numer)
-            if divisor > numer or numer % divisor:
-                continue
-            eh_pow = _pow_capped(a, e2 + 1, cdm1)
-            if eh_pow > cdm1 or cdm1 % eh_pow:
-                continue
-            out.append((n, a, c, d, m1, m2))
+            c, d = c.numerator, d.numerator
+            if all(ok for _, ok in chain(n, a, c, d, m1, m2, use_hc_axiom)):
+                out.append((n, a, c, d, m1, m2))
     return out

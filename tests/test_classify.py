@@ -18,7 +18,7 @@ from quadrocubic.classify import (
     scan_backend,
     verify_main_theorem,
 )
-from quadrocubic import classify, scan
+from quadrocubic import classify, constraints, scan
 from quadrocubic.constraints import check_degree_bound
 from quadrocubic.scan import scan_chunk, visits
 
@@ -298,6 +298,16 @@ def test_visits_settles_large_n_without_a_power(monkeypatch):
     monkeypatch.setattr(scan, "_pow_capped", no_power)
     for use_hc_axiom in (True, False):
         assert list(visits(1000, 1100, use_hc_axiom=use_hc_axiom)) == []
+
+
+def test_scan_decides_with_the_named_predicates(monkeypatch):
+    # scan_chunk keeps a tuple only when constraints.chain passes it, and
+    # _attribute re-checks with the same chain: turn one predicate off and
+    # both see it
+    monkeypatch.setattr(constraints, "check_estimate", lambda *args: False)
+    assert scan_chunk(4, 60) == []
+    with pytest.raises(RuntimeError, match="fails predicate estimate"):
+        _attribute(CASE1, True)
 
 
 def test_enumerate_large_n():

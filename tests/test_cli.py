@@ -211,6 +211,15 @@ def test_verify_report_file(tmp_path, capsys):
     assert doc["conclusion"] == "quadro-cubic unique"
 
 
+def test_verify_report_to_unwritable_path_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    code = run_cli(["verify", "--n-max", "9", "--json", "--report", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not path.exists()
+
+
 def test_verify_threads(capsys):
     code = run_cli(["verify", "--n-max", "20", "--threads", "2", "--json"])
     doc = json.loads(capsys.readouterr().out)

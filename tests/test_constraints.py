@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from quadrocubic import constraints
 from quadrocubic.constraints import (
     cd_minus_one,
+    chain,
     check_congruences,
     check_degree_bound,
     check_eh_divisibility,
@@ -120,3 +122,25 @@ def test_hc_gate():
     assert not check_hc_gate(9, 2, 4)
     assert check_hc_gate(12, 2, 9)
     assert not check_hc_gate(9, 2, 6)  # 3*m2 = 2*n still triggers
+
+
+CHAIN_IDS = ["katz-consistency", "eh-divisibility", "estimate", "congruences",
+             "cohomology-gate", "hc-multiplicity-one"]
+
+
+def test_chain_ids_and_order():
+    for case in ((4, 1, 3, 2, 2, 1), (9, 1, 3, 2, 6, 4)):
+        assert list(chain(*case, True)) == [(cid, True) for cid in CHAIN_IDS]
+        assert list(chain(*case, False)) == [(cid, True) for cid in CHAIN_IDS[:-1]]
+    # n = 14 with c = 3, d = 2 fails the cohomology gate only
+    assert dict(chain(14, 1, 3, 2, 10, 7, True)) == {
+        cid: cid != "cohomology-gate" for cid in CHAIN_IDS}
+
+
+def test_chain_stops_at_the_first_failure(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("link after a failure was evaluated")
+
+    monkeypatch.setattr(constraints, "check_eh_divisibility", unreachable)
+    # c = d fails katz-consistency, the first link
+    assert not all(ok for _, ok in chain(4, 1, 2, 2, 2, 1, True))

@@ -1,11 +1,13 @@
 """Tests for the exact polynomial ring in d1, d2."""
 
-import random
 from fractions import Fraction
 
 import pytest
 
-from quadrocubic.poly import ONE, ZERO, Poly, as_poly
+from quadrocubic.poly import Poly, as_poly
+
+ZERO = Poly()
+ONE = Poly.const(1)
 
 
 def test_construction_drops_zero_coefficients():
@@ -56,41 +58,6 @@ def test_hash_consistency():
     assert hash(Poly.const(4)) == hash(Poly({(0, 0): 4}))
     d = {Poly.symbol("d1"): "a"}
     assert d[Poly.symbol("d1")] == "a"
-
-
-def test_exact_div_by_constant():
-    p = Poly({(1, 0): 6, (0, 0): 9})
-    q = p.exact_div(3)
-    assert q == Poly({(1, 0): 2, (0, 0): 3})
-
-
-def test_exact_div_polynomial():
-    d1 = Poly.symbol("d1")
-    d2 = Poly.symbol("d2")
-    assert (d1 * d1 - d2 * d2).exact_div(d1 - d2) == d1 + d2
-    assert (d1 * d2 + d1).exact_div(d1) == d2 + 1
-
-
-def test_exact_div_inexact_raises():
-    d1 = Poly.symbol("d1")
-    with pytest.raises(ValueError):
-        (d1 + 1).exact_div(d1 * d1)
-    with pytest.raises(ZeroDivisionError):
-        d1.exact_div(0)
-
-
-def test_exact_div_random_roundtrip():
-    rng = random.Random(20240)
-    syms = [Poly.symbol("d1"), Poly.symbol("d2"), ONE]
-    for _ in range(300):
-        p = Poly.const(rng.randint(-9, 9))
-        q = Poly.const(rng.randint(1, 5))
-        for _ in range(rng.randint(1, 3)):
-            p = p * rng.choice(syms) + rng.randint(-9, 9)
-            q = q * rng.choice(syms) + rng.randint(0, 3)
-        if not q:
-            continue
-        assert (p * q).exact_div(q) == p
 
 
 def test_subs():

@@ -224,6 +224,12 @@ def test_solve_rank_deficient():
     assert info.value.free == ["u2"]
 
 
+def test_solve_rejects_a_coefficient_that_is_not_rational():
+    form = LinearForm(0, {"u1": 1, "u2": D1})
+    with pytest.raises(ValueError, match="coefficient of u2 is not a rational"):
+        solve_unknowns([(form, 3), (LinearForm.unknown("u1"), 1)])
+
+
 def test_solve_overdetermined_consistent():
     u = LinearForm.unknown("u1")
     solution = solve_unknowns([(u, 5), (u.scale(2), 10)])
