@@ -113,7 +113,14 @@ def test_a1_fast_path_agrees_with_direct_evaluation():
 
 
 def test_a1_monotonicity_stride4():
-    assert all(a1_ratio_stride_increases(n) for n in range(19, 5000))
+    # the stride lemma's whole domain up to verify's default range
+    assert all(a1_ratio_stride_increases(n) for n in range(9, 100001))
+
+
+def test_a1_stride_lemma_threshold_is_exact():
+    # the docstring's step 2(n+1)^2 >= (n+5)^2 starts at n = 9, not before
+    assert 2 * (9 + 1) ** 2 >= (9 + 5) ** 2
+    assert not 2 * (8 + 1) ** 2 >= (8 + 5) ** 2
 
 
 def test_a1_stride_closed_form_matches_cross_multiplication():
@@ -393,10 +400,45 @@ def test_verify_scope_stated_in_report():
     assert ineq_step.witness["low_range"] == [4, 18]
     assert ineq_step.witness["fails_in_low_range"] == [15, 16]
     assert ineq_step.witness["verdict_uses_low_range"] is False
+    probe_step = next(s for s in report.steps if s.id == "a1-monotonicity-probe")
+    assert probe_step.status == "pass"
+    assert probe_step.witness == {"stride": 4, "range": [19, 100000], "violations": []}
+    wide = {s.id: s.witness for s in verify_main_theorem(9, ineq_max=200000).steps}
+    assert wide["a1-inequality-range"]["range"] == [19, 200000]
+    assert wide["a1-monotonicity-probe"]["range"] == [19, 200000]
     scan_step = next(s for s in report.steps if s.id == "theorem-2case")
     assert scan_step.witness["n_max"] == 30
     assert scan_step.witness["coverage"] == {
         "a1": "all n, by the closed-form lemma", "a_ge_2": [4, 30]}
+
+
+def test_verify_settles_the_inequality_with_a_fixed_call_budget(monkeypatch):
+    # the lemmas leave 15 low-range and 4 base evaluations of the
+    # inequality and 4 of the stride probe, whatever range is stated; the
+    # base must meet every residue of n mod 4. perfbench marks its spans at
+    # the first call of each name, in this order
+    calls = []
+
+    def record(name):
+        original = getattr(classify, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[0]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(classify, name, wrapper)
+
+    names = ["a1_inequality_holds", "a1_ratio_stride_increases", "enumerate_candidates"]
+    for name in names:
+        record(name)
+    report = verify_main_theorem(9, ineq_max=10**6)
+    assert report.conclusion == "quadro-cubic unique"
+    ineq = [n for name, n in calls if name == names[0]]
+    probe = [n for name, n in calls if name == names[1]]
+    assert len(ineq) <= 19 and sorted(ineq) == list(range(4, 23))
+    assert len(probe) <= 4 and sorted(probe) == list(range(19, 23))
+    first = [name for name, _ in calls]
+    assert sorted(set(first), key=first.index) == names
 
 
 def test_scan_never_evaluates_the_inequality(monkeypatch):

@@ -71,6 +71,24 @@ def test_eval_power_above_n_is_rejected_at_once(expr, message):
     assert message in proc.stderr
 
 
+def test_verify_large_ineq_max_runs_in_bounded_time():
+    # the inequality above 18 is settled by a lemma, so the stated range
+    # costs nothing; evaluating it value by value would take days
+    src = str(Path(quadrocubic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadrocubic", "verify", "--json", "--n-max", "9",
+         "--ineq-max", "1000000000000"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0
+    doc = json.loads(proc.stdout)
+    assert doc["conclusion"] == "quadro-cubic unique"
+    witness = next(s["witness"] for s in doc["steps"] if s["id"] == "a1-inequality-range")
+    assert witness["range"] == [19, 10**12]
+    assert witness["holds_above_18"] == []
+
+
 @pytest.mark.parametrize("expr, degree", [
     (" ".join(["(H+E)^9"] * 40), 18),
     (" ".join(["(H+E)^9"] * 80), 18),
