@@ -43,7 +43,6 @@ from .ringeval import (
     IntersectionTable,
     LinearForm,
     RankDeficient,
-    expand_product,
     solve_unknowns,
 )
 
@@ -74,7 +73,6 @@ __all__ = [
     "enumerate_candidates",
     "eval_expr",
     "exclude_case2",
-    "expand_product",
     "parse_expr",
     "print_expr",
     "scan_backend",

@@ -6,7 +6,9 @@ settles the multiplicity-one inequality above n = 18 by a proved lemma
 the two-case outcome, excludes the nine-dimensional case twice (symbolic
 modular chain and brute degree scan), and assembles the final verdict.
 
-The tuple scan runs on the pure-Python kernel in scan.py.
+The tuple scan runs on the pure-Python kernel in scan.py. The case-2
+system is the paper's four products (2H - E)^(9-k) (5H - 3E)^k, expanded
+by the same `evaluate.eval_expr` that the `eval` command runs.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from fractions import Fraction
 
 from .betti import derive_case2_betti
 from .constraints import chain, check_degree_bound, katz_cd
+from .evaluate import eval_expr
 from .lattice import DivisorClass, LatticeParams, solve_basis_change
-from .ringeval import IntersectionTable, expand_product, solve_unknowns
+from .parser import parse_expr
+from .ringeval import IntersectionTable, solve_unknowns
 from .scan import scan_chunk
 
 CASE1 = (4, 1, 3, 2, 2, 1)
@@ -185,19 +189,17 @@ def enumerate_candidates(
 
 
 def _case2_system():
-    """The four chart-1 monomial equations expanded in chart-2 unknowns."""
-    lp = LatticeParams(a=1, c=3, d=2)
-    bc = solve_basis_change(lp)
-    h1 = DivisorClass(2, bc.m11, bc.m12)  # 2*H2 - E2
-    e1 = DivisorClass(2, bc.m21, bc.m22)  # 5*H2 - 3*E2
-    table2 = IntersectionTable(9, 4, "d2", chart=2)
-    table1 = IntersectionTable(9, 6, "d1", chart=1)
+    """The four chart-1 monomial equations in chart-2 unknowns: row k is
+    the paper's product (2H - E)^(9-k) (5H - 3E)^k, written as text from
+    the basis change and evaluated on the chart-2 table."""
+    bc = solve_basis_change(LatticeParams(a=1, c=3, d=2))
+    table1 = IntersectionTable(9, 6, "d1")
     equations = []
     for k in range(4):
-        form = expand_product([(h1, 9 - k), (e1, k)], table2)
+        text = f"({bc.m11}H {bc.m12:+d}E)^{9 - k} ({bc.m21}H {bc.m22:+d}E)^{k}"
         required = table1.entry(k)
         assert required.is_constant()
-        equations.append((form, required.constant))
+        equations.append((eval_expr(parse_expr(text), 9, 4, "d2"), required.constant))
     return equations
 
 

@@ -1,4 +1,9 @@
-"""Evaluation of parsed expressions against an intersection table."""
+"""Expansion of parsed expressions and their evaluation against an
+intersection table.
+
+This is the package's one expander of products of H and E: the `eval`
+command and the case-2 system of `classify` both go through `eval_expr`.
+"""
 
 from __future__ import annotations
 
@@ -6,73 +11,66 @@ from .parser import Add, Gen, Group, IntLit, Mul, Node, Pow, Sub, Sym
 from .poly import Poly
 from .ringeval import DegreeMismatch, IntersectionTable, LinearForm
 
-# polynomial in the two chart generators: {(h_exp, e_exp): Poly coefficient}
-TwoGen = dict[tuple[int, int], Poly]
+# sparse polynomial in H, E, d1, d2: {(h, e, i, j): integer coefficient of
+# H^h E^e d1^i d2^j}; zero coefficients are never stored
+Expansion = dict[tuple[int, int, int, int], int]
 
 
-def _add(p: TwoGen, q: TwoGen) -> TwoGen:
+def _add(p: Expansion, q: Expansion) -> Expansion:
     out = dict(p)
     for key, coeff in q.items():
-        total = out.get(key, Poly()) + coeff
-        if total:
-            out[key] = total
-        elif key in out:
-            del out[key]
-    return out
+        out[key] = out.get(key, 0) + coeff
+    return {key: coeff for key, coeff in out.items() if coeff}
 
 
-def _mul(p: TwoGen, q: TwoGen, n: int) -> TwoGen:
-    """p*q, rejected unexpanded when its highest total degree exceeds n: that
-    part of p*q is the product of the factors' nonzero highest-degree parts,
-    and the coefficients have no zero divisors, so it is nonzero. Every
-    product that is kept has degree at most n."""
+def _mul(p: Expansion, q: Expansion, n: int) -> Expansion:
+    """p*q, rejected unexpanded when its highest degree in (H, E) exceeds
+    n: that part of p*q is the product of the factors' nonzero
+    highest-degree parts, and Q[H, E, d1, d2] has no zero divisors, so it
+    is nonzero. Every product that is kept has degree at most n."""
     if p and q:
-        top = max(h + e for h, e in p) + max(h + e for h, e in q)
+        top = max(h + e for h, e, _, _ in p) + max(h + e for h, e, _, _ in q)
         if top > n:
             raise DegreeMismatch(f"expected homogeneous degree {n}, found a product of degree {top}")
-    out: TwoGen = {}
-    for (h1, e1), c1 in p.items():
-        for (h2, e2), c2 in q.items():
-            key = (h1 + h2, e1 + e2)
-            total = out.get(key, Poly()) + c1 * c2
-            if total:
-                out[key] = total
-            elif key in out:
-                del out[key]
-    return out
+    out: Expansion = {}
+    for (h1, e1, i1, j1), c1 in p.items():
+        for (h2, e2, i2, j2), c2 in q.items():
+            key = (h1 + h2, e1 + e2, i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: coeff for key, coeff in out.items() if coeff}
 
 
-def _to_two_gen(node: Node, n: int) -> TwoGen:
+def _expand(node: Node, n: int) -> Expansion:
     """Expand the expression. A power above n is rejected before any
     multiplication, so no power costs more than n products, and `_mul`
     rejects a product with any part above degree n before expanding it."""
     if isinstance(node, IntLit):
-        return {(0, 0): Poly.const(node.value)} if node.value else {}
+        return {(0, 0, 0, 0): node.value} if node.value else {}
     if isinstance(node, Gen):
-        return {(1, 0) if node.name == "H" else (0, 1): Poly.const(1)}
+        return {(1, 0, 0, 0) if node.name == "H" else (0, 1, 0, 0): 1}
     if isinstance(node, Sym):
-        return {(0, 0): Poly.symbol(node.name)}
+        return {(0, 0, 1, 0) if node.name == "d1" else (0, 0, 0, 1): 1}
     if isinstance(node, Group):
-        return _to_two_gen(node.inner, n)
+        return _expand(node.inner, n)
     if isinstance(node, Pow):
-        base = _to_two_gen(node.base, n)
+        base = _expand(node.base, n)
         if node.exponent > n:
-            if any(h + e for h, e in base):
+            if any(h + e for h, e, _, _ in base):
                 raise DegreeMismatch(
                     f"exponent {node.exponent} exceeds n = {n} on a base of positive degree"
                 )
             raise ValueError(f"exponent {node.exponent} exceeds n = {n} on a scalar base")
-        result: TwoGen = {(0, 0): Poly.const(1)}
+        result: Expansion = {(0, 0, 0, 0): 1}
         for _ in range(node.exponent):
             result = _mul(result, base, n)
         return result
     if isinstance(node, Mul):
-        return _mul(_to_two_gen(node.left, n), _to_two_gen(node.right, n), n)
+        return _mul(_expand(node.left, n), _expand(node.right, n), n)
     if isinstance(node, Add):
-        return _add(_to_two_gen(node.left, n), _to_two_gen(node.right, n))
+        return _add(_expand(node.left, n), _expand(node.right, n))
     if isinstance(node, Sub):
-        neg = {k: -c for k, c in _to_two_gen(node.right, n).items()}
-        return _add(_to_two_gen(node.left, n), neg)
+        neg = {key: -coeff for key, coeff in _expand(node.right, n).items()}
+        return _add(_expand(node.left, n), neg)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -80,11 +78,15 @@ def eval_expr(ast: Node, n: int, m: int, deg) -> LinearForm:
     """Expand the expression and evaluate each monomial H^(n-k) E^k
     against the table for an m-dimensional center of degree `deg`."""
     table = IntersectionTable(n, m, deg)
-    expansion = _to_two_gen(ast, n)
-    bad = sorted(h + e for (h, e) in expansion if h + e != n)
+    expansion = _expand(ast, n)
+    bad = sorted(h + e for h, e, _, _ in expansion if h + e != n)
     if bad:
         raise DegreeMismatch(f"expected homogeneous degree {n}, found degree {bad[0]}")
+    # the d1, d2 coefficient of each H^(n-k) E^k
+    by_e: dict[int, dict[tuple[int, int], int]] = {}
+    for (_, e, i, j), coeff in expansion.items():
+        by_e.setdefault(e, {})[(i, j)] = coeff
     result = LinearForm(0)
-    for (_, e), coeff in sorted(expansion.items()):
-        result = result + table.entry(e).scale(coeff)
+    for e, coeffs in by_e.items():
+        result = result + table.entry(e).scale(Poly(coeffs))
     return result

@@ -146,14 +146,19 @@ class Poly:
                 body = f"{abs(coeff)}*{mono}"
             sign = "-" if coeff < 0 else "+"
             parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+        return signed_join(parts)
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def signed_join(parts: list[tuple[str, str]]) -> str:
+    """Render (sign, body) terms as "a - b + c": a leading "+" is dropped."""
+    sign, body = parts[0]
+    text = ("-" if sign == "-" else "") + body
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
 
 
 def as_poly(value) -> Poly:

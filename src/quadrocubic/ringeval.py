@@ -3,22 +3,21 @@
 The chart carries one hyperplane class H and one exceptional class E; a
 top-degree monomial H^(n-i) E^i evaluates to 1 at i=0, to 0 below the
 center codimension, to a signed center degree at the codimension itself,
-and to a named unknown u_i above it. Products of divisor classes expand
-into affine-linear combinations of those unknowns with polynomial
-constants, and the resulting square systems, rational in the unknowns'
-coefficients, are solved by elimination with Fraction pivots.
+and to a named unknown u_i above it. A product of divisor classes,
+expanded by `evaluate.eval_expr` against such a table, is an
+affine-linear form in those unknowns with polynomial constants; square
+systems of such forms, rational in the unknowns' coefficients, are
+solved by elimination with Fraction pivots.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .lattice import DivisorClass
-from .poly import Poly, as_poly
+from .poly import Poly, as_poly, signed_join
 
 
 class DegreeMismatch(ValueError):
@@ -124,11 +123,7 @@ class LinearForm:
                 sign = "+"
                 body = f"({coeff})*{name}"
             parts.append((sign, body))
-        sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return signed_join(parts)
 
     def __repr__(self) -> str:
         return f"LinearForm({self})"
@@ -145,7 +140,6 @@ class IntersectionTable:
     n: int
     m: int
     deg: object
-    chart: int | None = None
 
     def __post_init__(self):
         if not (1 <= self.m <= self.n - 2):
@@ -163,50 +157,6 @@ class IntersectionTable:
             sign = (-1) ** (codim - 1)
             return LinearForm(as_poly(self.deg) * sign)
         return LinearForm.unknown(f"u{i}")
-
-
-def expand_product(
-    factors: Iterable[tuple[DivisorClass, int]], table: IntersectionTable
-) -> LinearForm:
-    """Expand a product of powers of divisor classes against the table.
-
-    Each factor is homogeneous of degree 1 in (H, E), so the expansion is
-    a single convolution over the E-exponent; total degree must equal n.
-    """
-    factors = list(factors)
-    chart = None
-    for dc, exp in factors:
-        if exp < 0:
-            raise ValueError("negative exponent")
-        if chart is None:
-            chart = dc.chart
-        elif dc.chart != chart:
-            raise ValueError("factors mix charts")
-    if table.chart is not None and chart is not None and chart != table.chart:
-        raise ValueError(f"factors in chart {chart} but table is chart {table.chart}")
-    degree = sum(exp for _, exp in factors)
-    if degree != table.n:
-        raise DegreeMismatch(f"expected total degree {table.n}, got {degree}")
-
-    # coeffs[k] = coefficient of H^(n-k) E^k
-    coeffs = [Fraction(1)]
-    for dc, exp in factors:
-        binomial = [
-            math.comb(exp, k) * dc.h ** (exp - k) * dc.e**k for k in range(exp + 1)
-        ]
-        new = [Fraction(0)] * (len(coeffs) + exp)
-        for i, ci in enumerate(coeffs):
-            if not ci:
-                continue
-            for k, bk in enumerate(binomial):
-                new[i + k] += ci * bk
-        coeffs = new
-
-    result = LinearForm(0)
-    for k, ck in enumerate(coeffs):
-        if ck:
-            result = result + table.entry(k).scale(ck)
-    return result
 
 
 def solve_unknowns(

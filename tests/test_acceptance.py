@@ -19,13 +19,21 @@ from quadrocubic.classify import (
 )
 from quadrocubic.cli import run_cli
 from quadrocubic.constraints import cd_minus_one, katz_cd
+from quadrocubic.evaluate import eval_expr
 from quadrocubic.lattice import DivisorClass, LatticeParams, solve_basis_change
 from quadrocubic.parser import parse_expr, print_expr
 from quadrocubic.poly import Poly
-from quadrocubic.ringeval import IntersectionTable, expand_product, solve_unknowns
+from quadrocubic.ringeval import IntersectionTable, solve_unknowns
 
 from test_parser import _random_expr
-from test_ringeval import CASE2_SYSTEM_ROWS, CASE2_SOLUTION, _case2_factors, _naive_expand
+from test_ringeval import (
+    CASE2_SOLUTION,
+    CASE2_SYSTEM_ROWS,
+    _case2_factors,
+    _eval_product,
+    _naive_expand,
+    _product_text,
+)
 
 
 def _verdict(num, description, ok):
@@ -40,11 +48,11 @@ def test_criterion_1_two_case_reproduction():
 
 
 def test_criterion_2_symbolic_solve_exactness():
-    table2 = IntersectionTable(9, 4, "d2", chart=2)
+    table2 = IntersectionTable(9, 4, "d2")
     rows_ok = True
     equations = []
     for k, (constant, coeffs) in enumerate(CASE2_SYSTEM_ROWS):
-        form = expand_product(_case2_factors(k), table2)
+        form = _eval_product(_case2_factors(k), table2)
         rows_ok &= form.constant == constant
         rows_ok &= tuple(form.terms[f"u{i}"] for i in range(6, 10)) == tuple(
             Poly.const(v) for v in coeffs
@@ -157,11 +165,14 @@ def test_criterion_8_property_suites():
         remaining = n
         while remaining > 0:
             exp = rng.randint(1, remaining)
-            factors.append(
-                (DivisorClass(2, rng.randint(-9, 9), rng.randint(-9, 9)), exp)
-            )
+            factors.append((rng.randint(-9, 9), rng.randint(-9, 9), exp))
             remaining -= exp
-        expansion_ok &= expand_product(factors, table) == _naive_expand(factors, table)
+        # a scalar c d1^i d2^j in front takes the degree symbols through
+        # the expander
+        c, i, j = rng.randint(-9, 9), rng.randint(0, 2), rng.randint(0, 2)
+        text = f"{c} d1^{i} d2^{j} {_product_text(factors)}"
+        expected = _naive_expand(factors, table).scale(Poly({(i, j): c}))
+        expansion_ok &= eval_expr(parse_expr(text), n, m, table.deg) == expected
 
     lattice_ok = True
     for _ in range(1000):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import quadrocubic
+from quadrocubic import classify
 from quadrocubic.cli import run_cli
 
 
@@ -36,6 +37,32 @@ def test_eval_trivial_and_single_monomial(capsys):
 def test_eval_integer_degree(capsys):
     assert run_cli(["eval", "--n", "9", "--m", "4", "--deg", "5", "H^4 E^5"]) == 0
     assert capsys.readouterr().out.strip() == "5"
+
+
+def test_eval_degree_symbols_inside_the_expression(capsys):
+    # n = 4, m = 2, deg 3: H^4 = 1, H^3 E = 0, H^2 E^2 = -3, then u3, u4, so
+    # (H - E)^4 = 1 + 6*(-3) - 4*u3 + u4 and the whole is
+    # d1 - d2*(-17 - 4*u3 + u4)
+    code = run_cli(["eval", "--n", "4", "--m", "2", "--deg", "3", "d1 H^4 - d2 (H - E)^4"])
+    assert code == 0
+    assert capsys.readouterr().out == "d1 + 17*d2 + (4*d2)*u3 + (-d2)*u4\n"
+
+
+def test_eval_prints_the_rows_exclude_case2_solves(monkeypatch, capsys):
+    solve_unknowns = classify.solve_unknowns
+    solved = []
+
+    def recording_solve(equations):
+        solved.extend(equations)
+        return solve_unknowns(equations)
+
+    monkeypatch.setattr(classify, "solve_unknowns", recording_solve)
+    classify.exclude_case2()
+    assert len(solved) == 4
+    for k, (form, _) in enumerate(solved):
+        expr = f"(2H - E)^{9 - k} (5H - 3E)^{k}"
+        assert run_cli(["eval", "--n", "9", "--m", "4", "--deg", "d2", expr]) == 0
+        assert capsys.readouterr().out == f"{form}\n"
 
 
 def test_eval_degree_mismatch_is_verdict_failure(capsys):

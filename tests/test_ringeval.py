@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from quadrocubic.lattice import DivisorClass, LatticeParams, solve_basis_change
+from quadrocubic.evaluate import eval_expr
+from quadrocubic.lattice import LatticeParams, solve_basis_change
+from quadrocubic.parser import parse_expr
 from quadrocubic.poly import Poly
 from quadrocubic.ringeval import (
     DegreeMismatch,
@@ -13,7 +15,6 @@ from quadrocubic.ringeval import (
     IntersectionTable,
     LinearForm,
     RankDeficient,
-    expand_product,
     solve_unknowns,
 )
 
@@ -39,10 +40,18 @@ CASE2_SOLUTION = {
 
 
 def _case2_factors(k):
+    """(h, e, exp) for (2H - E)^(9-k) (5H - 3E)^k, from the basis change."""
     bc = solve_basis_change(LatticeParams(a=1, c=3, d=2))
-    h1 = DivisorClass(2, bc.m11, bc.m12)
-    e1 = DivisorClass(2, bc.m21, bc.m22)
-    return [(h1, 9 - k), (e1, k)]
+    return [(bc.m11, bc.m12, 9 - k), (bc.m21, bc.m22, k)]
+
+
+def _product_text(factors):
+    return " ".join(f"({h}H {e:+d}E)^{exp}" for h, e, exp in factors)
+
+
+def _eval_product(factors, table):
+    """The product of (hH + eE)^exp over the factors, through eval's path."""
+    return eval_expr(parse_expr(_product_text(factors)), table.n, table.m, table.deg)
 
 
 def test_eh_value_examples():
@@ -78,8 +87,8 @@ def test_table_validation():
 
 
 def test_expand_first_system_equation():
-    table = IntersectionTable(9, 4, "d2", chart=2)
-    form = expand_product(_case2_factors(0), table)
+    assert _product_text(_case2_factors(0)) == "(2H -1E)^9 (5H -3E)^0"
+    form = _eval_product(_case2_factors(0), IntersectionTable(9, 4, "d2"))
     assert form.constant == Poly({(0, 0): 512, (0, 1): -2016})
     assert form.terms == {
         "u6": Poly.const(672),
@@ -91,50 +100,33 @@ def test_expand_first_system_equation():
 
 
 def test_expand_all_system_rows():
-    table = IntersectionTable(9, 4, "d2", chart=2)
+    table = IntersectionTable(9, 4, "d2")
     for k, (constant, coeffs) in enumerate(CASE2_SYSTEM_ROWS):
-        form = expand_product(_case2_factors(k), table)
+        form = _eval_product(_case2_factors(k), table)
         assert form.constant == constant
         for name, value in zip(("u6", "u7", "u8", "u9"), coeffs):
             assert form.terms[name] == Poly.const(value)
 
 
 def test_expand_trivial_h_power():
-    table = IntersectionTable(9, 4, "d2")
-    h = DivisorClass(2, 1, 0)
-    assert expand_product([(h, 9)], table) == LinearForm(1)
+    assert eval_expr(parse_expr("H^9"), 9, 4, "d2") == LinearForm(1)
 
 
 def test_expand_degree_mismatch():
-    table = IntersectionTable(9, 4, "d2")
-    h = DivisorClass(2, 1, 0)
     with pytest.raises(DegreeMismatch):
-        expand_product([(h, 8)], table)
-
-
-def test_expand_chart_checks():
-    table = IntersectionTable(9, 4, "d2", chart=2)
-    with pytest.raises(ValueError):
-        expand_product([(DivisorClass(1, 1, 0), 9)], table)
-    with pytest.raises(ValueError):
-        expand_product(
-            [(DivisorClass(2, 1, 0), 4), (DivisorClass(1, 1, 0), 5)],
-            IntersectionTable(9, 4, "d2"),
-        )
-    with pytest.raises(ValueError):
-        expand_product([(DivisorClass(2, 1, 0), -1)], table)
+        eval_expr(parse_expr("H^8"), 9, 4, "d2")
 
 
 def _naive_expand(factors, table):
     """Oracle: multiply out one linear factor at a time, tracking the
     E-exponent coefficient list, then substitute table entries."""
     coeffs = [Fraction(1)]
-    for dc, exp in factors:
+    for h, e, exp in factors:
         for _ in range(exp):
             new = [Fraction(0)] * (len(coeffs) + 1)
             for k, ck in enumerate(coeffs):
-                new[k] += ck * dc.h
-                new[k + 1] += ck * dc.e
+                new[k] += ck * h
+                new[k + 1] += ck * e
             coeffs = new
     total = LinearForm(0)
     for k, ck in enumerate(coeffs):
@@ -154,11 +146,9 @@ def test_oracle_equivalence_random():
         remaining = n
         while remaining > 0:
             exp = rng.randint(1, remaining)
-            factors.append(
-                (DivisorClass(2, rng.randint(-9, 9), rng.randint(-9, 9)), exp)
-            )
+            factors.append((rng.randint(-9, 9), rng.randint(-9, 9), exp))
             remaining -= exp
-        assert expand_product(factors, table) == _naive_expand(factors, table)
+        assert _eval_product(factors, table) == _naive_expand(factors, table)
 
 
 def test_expand_multilinearity():
@@ -167,21 +157,20 @@ def test_expand_multilinearity():
         n = rng.randint(4, 9)
         m = rng.randint(1, n - 2)
         table = IntersectionTable(n, m, "d2")
-        f = DivisorClass(2, rng.randint(-5, 5), rng.randint(-5, 5))
-        g = DivisorClass(2, rng.randint(-5, 5), rng.randint(-5, 5))
-        rest = [(DivisorClass(2, rng.randint(-5, 5), rng.randint(-5, 5)), n - 1)]
-        combined = expand_product([(DivisorClass(2, f.h + g.h, f.e + g.e), 1)] + rest, table)
-        split = expand_product([(f, 1)] + rest, table) + expand_product(
-            [(g, 1)] + rest, table
+        fh, fe, gh, ge = (rng.randint(-5, 5) for _ in range(4))
+        rest = [(rng.randint(-5, 5), rng.randint(-5, 5), n - 1)]
+        combined = _eval_product([(fh + gh, fe + ge, 1)] + rest, table)
+        split = _eval_product([(fh, fe, 1)] + rest, table) + _eval_product(
+            [(gh, ge, 1)] + rest, table
         )
         assert combined == split
 
 
 def _case2_monomial_system():
-    table2 = IntersectionTable(9, 4, "d2", chart=2)
-    table1 = IntersectionTable(9, 6, "d1", chart=1)
+    table2 = IntersectionTable(9, 4, "d2")
+    table1 = IntersectionTable(9, 6, "d1")
     return [
-        (expand_product(_case2_factors(k), table2), table1.entry(k).constant)
+        (_eval_product(_case2_factors(k), table2), table1.entry(k).constant)
         for k in range(4)
     ]
 
