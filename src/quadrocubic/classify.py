@@ -147,13 +147,13 @@ def closed_form_dims(n: int) -> tuple[Fraction, Fraction]:
     return Fraction(4 * n - 6, 5), Fraction(3 * n - 7, 5)
 
 
-def _attribute(raw: tuple, use_hc_axiom: bool) -> ConfigTuple:
+def _attribute(raw: tuple) -> ConfigTuple:
     """Re-verify a kernel survivor against the named predicates."""
     n, a, c, d, m1, m2 = raw
     if katz_cd(n, a, m1, m2) != (c, d):
         raise RuntimeError(f"kernel survivor {raw} does not reproduce under katz_cd")
     passed = []
-    for cid, holds in chain(n, a, c, d, m1, m2, use_hc_axiom):
+    for cid, holds in chain(n, a, c, d, m1, m2):
         if not holds:
             raise RuntimeError(f"kernel survivor {raw} fails predicate {cid}")
         passed.append(cid)
@@ -161,10 +161,7 @@ def _attribute(raw: tuple, use_hc_axiom: bool) -> ConfigTuple:
 
 
 def enumerate_candidates(
-    n_max: int,
-    a_max_override: int | None = None,
-    use_hc_axiom: bool = True,
-    workers: int = 1,
+    n_max: int, a_max_override: int | None = None, workers: int = 1
 ) -> list[ConfigTuple]:
     """All tuples with 4 <= n <= n_max passing the full constraint chain,
     sorted by (n, a, m1). Splitting the range across workers and merging
@@ -172,11 +169,11 @@ def enumerate_candidates(
     if n_max < 4:
         raise ValueError(f"need n_max >= 4, got {n_max}")
     if workers <= 1:
-        raw = _scan_range(4, n_max, a_max_override, use_hc_axiom)
+        raw = _scan_range(4, n_max, a_max_override)
     else:
         chunk = max(1, (n_max - 3 + workers - 1) // workers)
         tasks = [
-            (lo, min(lo + chunk - 1, n_max), a_max_override, use_hc_axiom)
+            (lo, min(lo + chunk - 1, n_max), a_max_override)
             for lo in range(4, n_max + 1, chunk)
         ]
         # the executor starts all of its processes at once, so never ask
@@ -185,7 +182,7 @@ def enumerate_candidates(
         with ProcessPoolExecutor(max_workers=processes) as pool:
             raw = [t for part in pool.map(_scan_task, tasks) for t in part]
     raw.sort(key=lambda t: (t[0], t[1], t[4]))
-    return [_attribute(t, use_hc_axiom) for t in raw]
+    return [_attribute(t) for t in raw]
 
 
 def _case2_system():
@@ -345,10 +342,7 @@ def _check_lattice_symbolics() -> dict:
 
 
 def verify_main_theorem(
-    n_max: int = 200,
-    ineq_max: int = 100000,
-    use_hc_axiom: bool = True,
-    workers: int = 1,
+    n_max: int = 200, ineq_max: int = 100000, workers: int = 1
 ) -> VerificationReport:
     """Run the whole pipeline and report the verdict.
 
@@ -396,14 +390,15 @@ def verify_main_theorem(
         {"stride": 4, "range": [19, ineq_hi], "violations": probe_violations},
     )
 
-    survivors = enumerate_candidates(n_max, use_hc_axiom=use_hc_axiom, workers=workers)
+    survivors = enumerate_candidates(n_max, workers=workers)
     tuples = [s.as_tuple() for s in survivors]
     extras = [t for t in tuples if t not in (CASE1, CASE2)]
     add(
         "theorem-2case",
         CASE1 in tuples and CASE2 in tuples and not extras,
         {"n_max": n_max, "survivors": tuples, "extras": extras,
-         "hc_axiom": use_hc_axiom,
+         # the one imported fact the constraint chain rests on
+         "imported_facts": ["cohomology-gate"],
          # scan.visits settles a = 1 by a lemma that holds for every n
          "coverage": {"a1": "all n, by the closed-form lemma", "a_ge_2": [4, n_max]}},
     )

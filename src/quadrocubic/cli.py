@@ -95,8 +95,14 @@ def _emit(document: dict, as_json: bool, path: str | None):
         sys.stdout.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A bad option is a usage error: one line on stderr, exit 2."""
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadrocubic",
         description="Exact-arithmetic classification of rank-2 double blow-ups "
                     "of projective space",
@@ -106,8 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the full verification pipeline")
     p_verify.add_argument("--n-max", type=int, default=200)
     p_verify.add_argument("--ineq-max", type=int, default=100000)
-    p_verify.add_argument("--no-axiom-hc", action="store_true",
-                          help="disable the imported multiplicity-one criterion")
     p_verify.add_argument("--threads", type=int, default=1)
     p_verify.add_argument("--report", metavar="PATH")
     p_verify.add_argument("--json", action="store_true")
@@ -115,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="run the candidate scan")
     p_enum.add_argument("--n-max", type=int, default=200)
     p_enum.add_argument("--a-max", type=int, default=None)
-    p_enum.add_argument("--no-axiom-hc", action="store_true")
     p_enum.add_argument("--json", action="store_true")
 
     p_eval = sub.add_parser("eval", help="evaluate an intersection expression")
@@ -130,8 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage_error(exc: Exception) -> int:
-    print(f"error: {exc}", file=sys.stderr)
+def _usage_error(message: object) -> int:
+    print(f"error: {message}", file=sys.stderr)
     return 2
 
 
@@ -145,15 +148,11 @@ def run_cli(argv: list[str] | None = None) -> int:
     if args.command == "verify":
         try:
             report = verify_main_theorem(
-                n_max=args.n_max,
-                ineq_max=args.ineq_max,
-                use_hc_axiom=not args.no_axiom_hc,
-                workers=args.threads,
+                n_max=args.n_max, ineq_max=args.ineq_max, workers=args.threads
             )
         except ValueError as exc:
             return _usage_error(exc)
-        config = {"n_max": args.n_max, "ineq_max": args.ineq_max,
-                  "hc_axiom": not args.no_axiom_hc, "threads": args.threads}
+        config = {"n_max": args.n_max, "ineq_max": args.ineq_max, "threads": args.threads}
         try:
             _emit(report_document(report, config), args.json, args.report)
         except OSError as exc:
@@ -164,10 +163,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         try:
             if args.a_max is not None and args.a_max < 1:
                 raise ValueError(f"need a_max >= 1, got {args.a_max}")
-            survivors = enumerate_candidates(
-                args.n_max, a_max_override=args.a_max,
-                use_hc_axiom=not args.no_axiom_hc,
-            )
+            survivors = enumerate_candidates(args.n_max, a_max_override=args.a_max)
         except ValueError as exc:
             return _usage_error(exc)
         if args.json:
@@ -180,19 +176,21 @@ def run_cli(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "eval":
-        deg = args.deg if args.deg in ("d1", "d2") else None
-        if deg is None:
+        deg = args.deg
+        if deg not in ("d1", "d2"):
             try:
-                deg = int(args.deg)
+                deg = int(deg)
             except ValueError:
-                print(f"error: --deg must be an integer, d1, or d2, got {args.deg!r}",
-                      file=sys.stderr)
-                return 2
+                deg = 0
+            if deg <= 0:
+                return _usage_error(
+                    f"--deg must be a positive integer, d1, or d2, got {args.deg!r}")
+        if not 1 <= args.m <= args.n - 2:
+            return _usage_error(f"need 1 <= m <= n-2, got n={args.n}, m={args.m}")
         try:
             ast = parse_expr(args.expr)
         except ParseError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _usage_error(exc)
         try:
             # str() raises ValueError on a value past the int-string limit
             text = str(eval_expr(ast, args.n, args.m, deg))

@@ -28,10 +28,11 @@ def _naive_pow_capped(a, e, cap):
     return min(a ** max(e, 0), cap + 1)
 
 
-def naive_scan(n_lo, n_hi, a_max_override=None, use_hc_axiom=True):
+def naive_scan(n_lo, n_hi, a_max_override=None):
     """Reference for scan_chunk: every (n, m1, m2, a) up to the a-cap,
-    each pushed through the whole constraint chain, with no loop bound
-    derived from the chain."""
+    each pushed through every clause of the constraint chain, including
+    those `constraints.chain` proves implied, with no loop bound derived
+    from the chain."""
     out = []
     for n in range(max(4, n_lo), n_hi + 1):
         n1sq = (n + 1) ** 2
@@ -49,8 +50,6 @@ def naive_scan(n_lo, n_hi, a_max_override=None, use_hc_axiom=True):
                         break
                     if _naive_pow_capped(a, e1, n1sq) * (n - m1) * e1 > n1sq:
                         break
-                    if use_hc_axiom and a >= 2 and 3 * m2 <= 2 * n:
-                        continue
                     num_c = a * (n + 1) - e2
                     num_d = a * (n + 1) - e1
                     if num_c % e1 or num_d % e2:
@@ -153,7 +152,6 @@ def test_enumerate_full_range():
     for s in survivors:
         assert "katz-consistency" in s.provenance
         assert "estimate" in s.provenance
-        assert "hc-multiplicity-one" in s.provenance
 
 
 def test_enumerate_sorted_by_n_a_m1():
@@ -193,13 +191,6 @@ def test_pool_processes_bounded_by_chunks_and_cores(monkeypatch):
     assert requested == [min(197, os.cpu_count() or 1)]
 
 
-def test_no_hc_axiom_gives_superset():
-    with_axiom = {s.as_tuple() for s in enumerate_candidates(60)}
-    without = {s.as_tuple() for s in enumerate_candidates(60, use_hc_axiom=False)}
-    assert with_axiom <= without
-    assert CASE1 in without and CASE2 in without
-
-
 def test_a_max_override():
     # capping a at 0 removes everything; at 1 keeps the paper tuples
     assert enumerate_candidates(60, a_max_override=0) == []
@@ -207,17 +198,16 @@ def test_a_max_override():
     assert capped == [CASE1, CASE2]
 
 
-@pytest.mark.parametrize("use_hc_axiom", [True, False])
 @pytest.mark.parametrize("a_max", [None, 1, 2, 5])
-def test_kernel_agrees_with_naive_oracle(a_max, use_hc_axiom):
-    expected = sorted(naive_scan(4, 60, a_max, use_hc_axiom))
-    assert sorted(scan_chunk(4, 60, a_max, use_hc_axiom)) == expected
-    split = scan_chunk(4, 30, a_max, use_hc_axiom) + scan_chunk(31, 60, a_max, use_hc_axiom)
+def test_kernel_agrees_with_naive_oracle(a_max):
+    expected = sorted(naive_scan(4, 60, a_max))
+    assert sorted(scan_chunk(4, 60, a_max)) == expected
+    split = scan_chunk(4, 30, a_max) + scan_chunk(31, 60, a_max)
     assert sorted(split) == expected
 
 
-def _bounded_tuples(n_max, a_max_override, use_hc_axiom):
-    """(all (n, m1, a, m2) passing links 1-3 and the integrality of c,
+def _bounded_tuples(n_max, a_max_override):
+    """(all (n, m1, a, m2) passing links 1 and 2 and the integrality of c,
     the subset of those that also pass link 7's first inequality), from
     the naive loop."""
     domain, kept = set(), set()
@@ -233,8 +223,7 @@ def _bounded_tuples(n_max, a_max_override, use_hc_axiom):
                 while a_max_override is None or a <= a_max_override:
                     if min(a**e1, n1sq + 1) * (n - m1) * e1 > n1sq:
                         break
-                    axiom_ok = not (use_hc_axiom and a >= 2 and 3 * m2 <= 2 * n)
-                    if axiom_ok and (a * (n + 1) - e2) % e1 == 0:
+                    if (a * (n + 1) - e2) % e1 == 0:
                         domain.add((n, m1, a, m2))
                         if min(a ** (e2 - 1), n1sq + 1) * e2 * e1 < n1sq:
                             kept.add((n, m1, a, m2))
@@ -242,41 +231,38 @@ def _bounded_tuples(n_max, a_max_override, use_hc_axiom):
     return domain, kept
 
 
-@pytest.mark.parametrize("use_hc_axiom", [True, False])
 @pytest.mark.parametrize("a_max", [None, 1, 2, 5])
-def test_visits_skip_only_tuples_the_chain_rejects(a_max, use_hc_axiom):
+def test_visits_skip_only_tuples_the_chain_rejects(a_max):
     # for a >= 2 the loop bounds in scan.visits must keep every tuple that
     # can pass the links they replace, and nothing outside the naive loop's
     # domain; a = 1 is settled by the lemma, which leaves two tuples
-    domain, kept = _bounded_tuples(60, a_max, use_hc_axiom)
-    visited = [(n, m1, a, m2) for n, m1, a, m2s in visits(4, 60, a_max, use_hc_axiom)
-               for m2 in m2s]
+    domain, kept = _bounded_tuples(60, a_max)
+    visited = [(n, m1, a, m2) for n, m1, a, m2s in visits(4, 60, a_max) for m2 in m2s]
     assert len(visited) == len(set(visited))
     above_one = {t for t in visited if t[2] >= 2}
     assert {t for t in kept if t[2] >= 2} <= above_one <= domain
     assert set(visited) - above_one == {(4, 2, 1, 1), (9, 6, 1, 4)}
 
 
-@pytest.mark.parametrize("use_hc_axiom", [True, False])
-def test_a1_lemma_matches_naive_chain(use_hc_axiom):
+def test_a1_lemma_matches_naive_chain():
     # the closed-form lemma in scan.visits: with a = 1 the whole chain
     # keeps exactly the two cases, whatever n
-    assert naive_scan(4, 200, a_max_override=1, use_hc_axiom=use_hc_axiom) == [CASE1, CASE2]
+    assert naive_scan(4, 200, a_max_override=1) == [CASE1, CASE2]
 
 
-def _passes_attribute(raw, use_hc_axiom):
+def _passes_attribute(raw):
     try:
-        _attribute(raw, use_hc_axiom)
+        _attribute(raw)
     except RuntimeError:
         return False
     return True
 
 
-@pytest.mark.parametrize("use_hc_axiom", [True, False])
-def test_named_predicates_agree_with_naive_chain(use_hc_axiom):
+def test_named_predicates_agree_with_naive_chain():
     # every (n, m1, m2, a) of the naive loop with integral c, d, including
     # the m2 the cohomology gate rejects: the named predicates _attribute
-    # re-checks pass exactly the tuples the naive chain keeps
+    # re-checks pass exactly the tuples the naive chain, with every
+    # clause the reduced chain proves implied, keeps
     passing = set()
     for n in range(4, 41):
         n1sq = (n + 1) ** 2
@@ -289,22 +275,30 @@ def test_named_predicates_agree_with_naive_chain(use_hc_axiom):
                     num_c, num_d = a * (n + 1) - e2, a * (n + 1) - e1
                     if num_c % e1 == 0 and num_d % e2 == 0:
                         raw = (n, a, num_c // e1, num_d // e2, m1, m2)
-                        if _passes_attribute(raw, use_hc_axiom):
+                        if _passes_attribute(raw):
                             passing.add(raw)
                     a += 1
-    assert passing == set(naive_scan(4, 40, use_hc_axiom=use_hc_axiom))
+    assert passing == set(naive_scan(4, 40))
 
 
 def test_visits_settles_large_n_without_a_power(monkeypatch):
     # past small n every (n, m1) the a >= 2 loop reaches has link 1's gate
     # on, so 2^(e2_min-1) > (n+1)^2 and visits moves on with no power taken;
-    # taking one costs about 2*log2(n) products per (n, m1) without the axiom
+    # taking one costs about 2*log2(n) products per (n, m1)
     def no_power(a, e, cap):
         raise AssertionError(f"power taken: {a}^{e}")
 
     monkeypatch.setattr(scan, "_pow_capped", no_power)
-    for use_hc_axiom in (True, False):
-        assert list(visits(1000, 1100, use_hc_axiom=use_hc_axiom)) == []
+    assert list(visits(1000, 1100)) == []
+
+
+def test_visits_work_is_pinned():
+    # the loop bounds leave 68 tuples with a >= 2 to the chain, all at
+    # n <= 17, and none above; a change that widens the loops shows here
+    assert list(visits(18, 2000)) == []
+    above_one = [(n, m1, a, m2) for n, m1, a, m2s in visits(4, 17) if a >= 2
+                 for m2 in m2s]
+    assert len(above_one) == 68
 
 
 def test_scan_decides_with_the_named_predicates(monkeypatch):
@@ -314,7 +308,7 @@ def test_scan_decides_with_the_named_predicates(monkeypatch):
     monkeypatch.setattr(constraints, "check_estimate", lambda *args: False)
     assert scan_chunk(4, 60) == []
     with pytest.raises(RuntimeError, match="fails predicate estimate"):
-        _attribute(CASE1, True)
+        _attribute(CASE1)
 
 
 def test_enumerate_large_n():
@@ -375,6 +369,8 @@ def test_verify_records_two_pre_exclusion_tuples():
     step = next(s for s in report.steps if s.id == "theorem-2case")
     assert step.witness["survivors"] == [CASE1, CASE2]
     assert step.witness["extras"] == []
+    # the chain rests on no imported fact but link 1's gate
+    assert step.witness["imported_facts"] == ["cohomology-gate"]
 
 
 def test_verify_minimal_range():

@@ -182,6 +182,49 @@ def test_range_below_floor_is_usage_error(argv, message, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    # the multiplicity-one criterion is not imported, so there is no
+    # switch for it
+    (["verify", "--no-axiom-hc"], "unrecognized arguments: --no-axiom-hc"),
+    (["enumerate", "--no-axiom-hc"], "unrecognized arguments: --no-axiom-hc"),
+    (["verify", "--n-max", "x"], "argument --n-max: invalid int value: 'x'"),
+    (["eval", "--m", "2", "--deg", "2", "H^4"], "the following arguments are required: --n"),
+    ([], "the following arguments are required: command"),
+])
+def test_bad_option_is_one_line_usage_error(argv, message, capsys):
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_removed_option_ends_without_traceback():
+    src = str(Path(quadrocubic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadrocubic", "verify", "--no-axiom-hc"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: unrecognized arguments: --no-axiom-hc\n"
+
+
+@pytest.mark.parametrize("n, m, deg, message", [
+    ("-5", "2", "3", "need 1 <= m <= n-2, got n=-5, m=2"),
+    ("4", "3", "3", "need 1 <= m <= n-2, got n=4, m=3"),
+    ("4", "0", "3", "need 1 <= m <= n-2, got n=4, m=0"),
+    ("4", "2", "0", "--deg must be a positive integer, d1, or d2, got '0'"),
+    ("4", "2", "-3", "--deg must be a positive integer, d1, or d2, got '-3'"),
+])
+def test_eval_bad_chart_or_degree_is_usage_error(n, m, deg, message, capsys):
+    # checked before the expression is parsed: the expression is malformed
+    assert run_cli(["eval", "--n", n, "--m", m, "--deg", deg, "H^4 +"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_module_entry_point_runs_the_command():
     src = str(Path(quadrocubic.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

@@ -8,14 +8,14 @@ from quadrocubic import constraints
 from quadrocubic.constraints import (
     cd_minus_one,
     chain,
-    check_congruences,
     check_degree_bound,
     check_eh_divisibility,
     check_estimate,
-    check_hc_gate,
     check_katz_consistency,
     katz_cd,
 )
+
+from test_acceptance import _visited_tuples
 
 
 def test_katz_cd_examples():
@@ -50,20 +50,17 @@ def test_eh_divisibility():
 def test_estimate_examples():
     assert check_estimate(4, 1, 2, 1)
     assert check_estimate(9, 1, 6, 4)
-    # each fails one part only: numerator 0 is not positive; 8 does not
-    # divide the numerator 35; 2*3^1 divides 60 but 2*3^2 does not
-    assert not check_estimate(6, 1, 2, 1)
-    assert not check_estimate(4, 2, 2, 1)
-    assert not check_estimate(4, 3, 2, 1)
-
-
-def test_congruences():
-    assert check_congruences(4, 1, 2, 1)
-    assert check_congruences(9, 1, 6, 4)
-    assert not check_congruences(5, 1, 3, 2)
-    # only the second, then only the first congruence fails
-    assert not check_congruences(4, 2, 2, 1)
-    assert not check_congruences(6, 5, 2, 1)
+    # each fails one inequality only: a^(e2-1)*e2*e1 = 54 reaches
+    # N^2 = 36; a^(e2-1)*e2*e1 = 4 is below a^e1*(n-m1)*e1 = 6, which
+    # takes m2 >= m1
+    assert not check_estimate(5, 3, 2, 1)
+    assert not check_estimate(6, 1, 3, 3)
+    # the clauses `chain` proves implied are not checked here: the
+    # numerator is 0 at (6, 1, 2, 1), 35 at (4, 2, 2, 1), which 8 does
+    # not divide, and 60 at (4, 3, 2, 1), which 2*3^2 does not divide
+    assert check_estimate(6, 1, 2, 1)
+    assert check_estimate(4, 2, 2, 1)
+    assert check_estimate(4, 3, 2, 1)
 
 
 def test_degree_bound():
@@ -84,22 +81,17 @@ def test_degree_bound_is_strict_and_exact():
 
 
 def test_katz_consistency():
-    assert check_katz_consistency(4, 1, 3, 2, 2, 1)
-    assert check_katz_consistency(9, 1, 3, 2, 6, 4)
-    assert not check_katz_consistency(4, 1, 2, 2, 2, 1)  # c > d violated
-    # each fails one part only: c > d (possible only with m1 = m2), a | cd-1,
-    # then each identity
-    assert not check_katz_consistency(4, 4, 9, 9, 1, 1)
-    assert not check_katz_consistency(8, 2, 7, 4, 5, 3)
-    assert not check_katz_consistency(6, 2, 5, 3, 2, 1)
-    assert not check_katz_consistency(4, 2, 7, 3, 2, 1)
+    assert check_katz_consistency(3, 2)
+    assert not check_katz_consistency(2, 2)  # c > d violated
+    assert not check_katz_consistency(3, 1)  # d >= 2 violated
+    assert not check_katz_consistency(1, 2)
 
 
 def test_katz_consistency_reproduces_cd():
     # any tuple passing the consistency check reproduces (c, d) in closed form
     for tup in [(4, 1, 3, 2, 2, 1), (9, 1, 3, 2, 6, 4)]:
         n, a, c, d, m1, m2 = tup
-        assert check_katz_consistency(n, a, c, d, m1, m2)
+        assert check_katz_consistency(c, d)
         assert katz_cd(n, a, m1, m2) == (c, d)
 
 
@@ -117,23 +109,43 @@ def test_katz_identities_hold_for_integral_output():
                 assert (c - 1) * (n + 1) == (n - m2 - 1) * cdm1
 
 
-def test_hc_gate():
-    assert check_hc_gate(9, 1, 4)
-    assert not check_hc_gate(9, 2, 4)
-    assert check_hc_gate(12, 2, 9)
-    assert not check_hc_gate(9, 2, 6)  # 3*m2 = 2*n still triggers
+def test_dropped_clauses_are_implied():
+    # the proof in `chain`, on every tuple of the naive loop with integral
+    # (c, d): each clause the chain dropped holds under the premise its
+    # proof states, and the estimate's divisibility is exactly link 8
+    met = {"integral": 0, "link 8": 0, "c > d >= 2": 0}
+    for n, m1, m2, a in _visited_tuples(60):
+        c, d = katz_cd(n, a, m1, m2)
+        if c.denominator != 1 or d.denominator != 1:
+            continue
+        c, d = int(c), int(d)
+        e1, e2, cdm1 = n - m1 - 1, n - m2 - 1, c * d - 1
+        # integrality alone: the canonical-class identities, the congruences
+        assert a * (d - 1) * (n + 1) == e1 * cdm1
+        assert a * (c - 1) * (n + 1) == e2 * cdm1
+        assert (m1 - m2 - a * (m1 + 2)) % e1 == 0
+        assert (m2 - m1 - a * (m2 + 2)) % e2 == 0
+        numer = a * (n + 1) ** 2 - (n + 1) * (2 * n - 2 - m1 - m2)
+        link8 = check_eh_divisibility(n, a, m2, cdm1)
+        assert (numer % (e1 * e2 * a**e2) == 0) == link8
+        if link8:
+            assert cdm1 % a == 0
+        if check_katz_consistency(c, d):
+            assert numer > 0
+        met["integral"] += 1
+        met["link 8"] += link8
+        met["c > d >= 2"] += check_katz_consistency(c, d)
+    assert all(met.values()), met
 
 
-CHAIN_IDS = ["katz-consistency", "eh-divisibility", "estimate", "congruences",
-             "cohomology-gate", "hc-multiplicity-one"]
+CHAIN_IDS = ["katz-consistency", "eh-divisibility", "estimate", "cohomology-gate"]
 
 
 def test_chain_ids_and_order():
     for case in ((4, 1, 3, 2, 2, 1), (9, 1, 3, 2, 6, 4)):
-        assert list(chain(*case, True)) == [(cid, True) for cid in CHAIN_IDS]
-        assert list(chain(*case, False)) == [(cid, True) for cid in CHAIN_IDS[:-1]]
+        assert list(chain(*case)) == [(cid, True) for cid in CHAIN_IDS]
     # n = 14 with c = 3, d = 2 fails the cohomology gate only
-    assert dict(chain(14, 1, 3, 2, 10, 7, True)) == {
+    assert dict(chain(14, 1, 3, 2, 10, 7)) == {
         cid: cid != "cohomology-gate" for cid in CHAIN_IDS}
 
 
@@ -143,4 +155,4 @@ def test_chain_stops_at_the_first_failure(monkeypatch):
 
     monkeypatch.setattr(constraints, "check_eh_divisibility", unreachable)
     # c = d fails katz-consistency, the first link
-    assert not all(ok for _, ok in chain(4, 1, 2, 2, 2, 1, True))
+    assert not all(ok for _, ok in chain(4, 1, 2, 2, 2, 1))
