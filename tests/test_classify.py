@@ -28,11 +28,11 @@ def _naive_pow_capped(a, e, cap):
     return min(a ** max(e, 0), cap + 1)
 
 
-def naive_scan(n_lo, n_hi, a_max_override=None):
+def naive_scan(n_lo, n_hi, a_max_override=None, implied_clauses=True):
     """Reference for scan_chunk: every (n, m1, m2, a) up to the a-cap,
-    each pushed through every clause of the constraint chain, including
-    those `constraints.chain` proves implied, with no loop bound derived
-    from the chain."""
+    each pushed through the constraint chain with no loop bound derived
+    from the chain. With implied_clauses, also through every clause
+    `constraints.chain` proves implied and drops."""
     out = []
     for n in range(max(4, n_lo), n_hi + 1):
         n1sq = (n + 1) ** 2
@@ -59,31 +59,36 @@ def naive_scan(n_lo, n_hi, a_max_override=None):
                     if not (c > d >= 2):
                         continue
                     cdm1 = c * d - 1
-                    if cdm1 % a:
-                        continue
-                    if a * (d - 1) * (n + 1) != e1 * cdm1:
-                        continue
-                    if a * (c - 1) * (n + 1) != e2 * cdm1:
-                        continue
-                    if (m1 - m2 - a * (m1 + 2)) % e1:
-                        continue
-                    if (m2 - m1 - a * (m2 + 2)) % e2:
-                        continue
-                    numer = a * n1sq - (n + 1) * (2 * n - 2 - m1 - m2)
-                    if numer <= 0:
+                    if implied_clauses and _fails_implied_clauses(n, a, c, d, m1, m2):
                         continue
                     if _naive_pow_capped(a, e2 - 1, n1sq) * e2 * e1 >= n1sq:
                         continue
                     if _naive_pow_capped(a, e2 - 1 - e1, n - m1) * e2 < n - m1:
-                        continue
-                    divisor = e1 * e2 * _naive_pow_capped(a, e2, numer)
-                    if divisor > numer or numer % divisor:
                         continue
                     eh_pow = _naive_pow_capped(a, e2 + 1, cdm1)
                     if eh_pow > cdm1 or cdm1 % eh_pow:
                         continue
                     out.append((n, a, c, d, m1, m2))
     return out
+
+
+def _fails_implied_clauses(n, a, c, d, m1, m2):
+    """True if (n, a, c, d, m1, m2) fails a clause dropped from the chain:
+    a | cd-1, the canonical-class identities, the congruences, or the
+    estimate's positivity and divisibility."""
+    e1, e2 = n - m1 - 1, n - m2 - 1
+    cdm1 = c * d - 1
+    if cdm1 % a:
+        return True
+    if a * (d - 1) * (n + 1) != e1 * cdm1 or a * (c - 1) * (n + 1) != e2 * cdm1:
+        return True
+    if (m1 - m2 - a * (m1 + 2)) % e1 or (m2 - m1 - a * (m2 + 2)) % e2:
+        return True
+    numer = a * (n + 1) ** 2 - (n + 1) * (2 * n - 2 - m1 - m2)
+    if numer <= 0:
+        return True
+    divisor = e1 * e2 * _naive_pow_capped(a, e2, numer)
+    return divisor > numer or numer % divisor != 0
 
 
 def test_a1_inequality_examples():
@@ -198,9 +203,12 @@ def test_a_max_override():
     assert capped == [CASE1, CASE2]
 
 
+# implied_clauses: whether the oracle also runs the clauses the chain
+# drops as implied; the kernel must agree either way
+@pytest.mark.parametrize("implied_clauses", [True, False])
 @pytest.mark.parametrize("a_max", [None, 1, 2, 5])
-def test_kernel_agrees_with_naive_oracle(a_max):
-    expected = sorted(naive_scan(4, 60, a_max))
+def test_kernel_agrees_with_naive_oracle(a_max, implied_clauses):
+    expected = sorted(naive_scan(4, 60, a_max, implied_clauses))
     assert sorted(scan_chunk(4, 60, a_max)) == expected
     split = scan_chunk(4, 30, a_max) + scan_chunk(31, 60, a_max)
     assert sorted(split) == expected
@@ -231,23 +239,28 @@ def _bounded_tuples(n_max, a_max_override):
     return domain, kept
 
 
+@pytest.mark.parametrize("split", [True, False])
 @pytest.mark.parametrize("a_max", [None, 1, 2, 5])
-def test_visits_skip_only_tuples_the_chain_rejects(a_max):
+def test_visits_skip_only_tuples_the_chain_rejects(a_max, split):
     # for a >= 2 the loop bounds in scan.visits must keep every tuple that
     # can pass the links they replace, and nothing outside the naive loop's
-    # domain; a = 1 is settled by the lemma, which leaves two tuples
+    # domain; a = 1 is settled by the lemma, which leaves two tuples; the
+    # bounds must not depend on how the n range is cut into chunks
     domain, kept = _bounded_tuples(60, a_max)
-    visited = [(n, m1, a, m2) for n, m1, a, m2s in visits(4, 60, a_max) for m2 in m2s]
+    ranges = [(4, 30), (31, 60)] if split else [(4, 60)]
+    visited = [(n, m1, a, m2) for lo, hi in ranges
+               for n, m1, a, m2s in visits(lo, hi, a_max) for m2 in m2s]
     assert len(visited) == len(set(visited))
     above_one = {t for t in visited if t[2] >= 2}
     assert {t for t in kept if t[2] >= 2} <= above_one <= domain
     assert set(visited) - above_one == {(4, 2, 1, 1), (9, 6, 1, 4)}
 
 
-def test_a1_lemma_matches_naive_chain():
+@pytest.mark.parametrize("implied_clauses", [True, False])
+def test_a1_lemma_matches_naive_chain(implied_clauses):
     # the closed-form lemma in scan.visits: with a = 1 the whole chain
     # keeps exactly the two cases, whatever n
-    assert naive_scan(4, 200, a_max_override=1) == [CASE1, CASE2]
+    assert naive_scan(4, 200, 1, implied_clauses) == [CASE1, CASE2]
 
 
 def _passes_attribute(raw):
@@ -258,11 +271,12 @@ def _passes_attribute(raw):
     return True
 
 
-def test_named_predicates_agree_with_naive_chain():
+@pytest.mark.parametrize("implied_clauses", [True, False])
+def test_named_predicates_agree_with_naive_chain(implied_clauses):
     # every (n, m1, m2, a) of the naive loop with integral c, d, including
     # the m2 the cohomology gate rejects: the named predicates _attribute
-    # re-checks pass exactly the tuples the naive chain, with every
-    # clause the reduced chain proves implied, keeps
+    # re-checks pass exactly the tuples the naive chain keeps, with or
+    # without every clause the reduced chain proves implied
     passing = set()
     for n in range(4, 41):
         n1sq = (n + 1) ** 2
@@ -278,7 +292,7 @@ def test_named_predicates_agree_with_naive_chain():
                         if _passes_attribute(raw):
                             passing.add(raw)
                     a += 1
-    assert passing == set(naive_scan(4, 40))
+    assert passing == set(naive_scan(4, 40, implied_clauses=implied_clauses))
 
 
 def test_visits_settles_large_n_without_a_power(monkeypatch):
