@@ -6,7 +6,8 @@ settles the multiplicity-one inequality above n = 18 by a proved lemma
 the two-case outcome, excludes the nine-dimensional case twice (symbolic
 modular chain and brute degree scan), and assembles the final verdict.
 
-The tuple scan runs on the pure-Python kernel in scan.py. The case-2
+The tuple scan runs on the pure-Python kernel in scan.py, whose lemmas
+leave only the base n <= scan.BASE_N_MAX to scan. The case-2
 system is the paper's four products (2H - E)^(9-k) (5H - 3E)^k, expanded
 by the same `evaluate.eval_expr` that the `eval` command runs.
 """
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,7 +25,7 @@ from .evaluate import eval_expr
 from .lattice import DivisorClass, LatticeParams, solve_basis_change
 from .parser import parse_expr
 from .ringeval import IntersectionTable, solve_unknowns
-from .scan import scan_chunk
+from .scan import BASE_N_MAX, scan_chunk
 
 CASE1 = (4, 1, 3, 2, 2, 1)
 CASE2 = (9, 1, 3, 2, 6, 4)
@@ -164,17 +164,22 @@ def enumerate_candidates(
     n_max: int, a_max_override: int | None = None, workers: int = 1
 ) -> list[ConfigTuple]:
     """All tuples with 4 <= n <= n_max passing the full constraint chain,
-    sorted by (n, a, m1). Splitting the range across workers and merging
-    yields the same list as a sequential run."""
+    sorted by (n, a, m1). The lemmas of scan.visits leave no survivor
+    above BASE_N_MAX, so only 4..min(n_max, BASE_N_MAX) is scanned.
+    Splitting that range across workers and merging yields the same list
+    as a sequential run."""
     if n_max < 4:
         raise ValueError(f"need n_max >= 4, got {n_max}")
+    n_hi = min(n_max, BASE_N_MAX)
     if workers <= 1:
-        raw = _scan_range(4, n_max, a_max_override)
+        raw = _scan_range(4, n_hi, a_max_override)
     else:
-        chunk = max(1, (n_max - 3 + workers - 1) // workers)
+        # imported here: only the pool needs it, and it costs each start 20 ms
+        from concurrent.futures import ProcessPoolExecutor
+        chunk = max(1, (n_hi - 3 + workers - 1) // workers)
         tasks = [
-            (lo, min(lo + chunk - 1, n_max), a_max_override)
-            for lo in range(4, n_max + 1, chunk)
+            (lo, min(lo + chunk - 1, n_hi), a_max_override)
+            for lo in range(4, n_hi + 1, chunk)
         ]
         # the executor starts all of its processes at once, so never ask
         # for more than there are chunks or cores
@@ -346,13 +351,12 @@ def verify_main_theorem(
 ) -> VerificationReport:
     """Run the whole pipeline and report the verdict.
 
-    The a = 1 branch of the scan and the failure of the multiplicity-one
-    inequality above n = 18 are proved for every n, by the lemmas in the
-    docstrings of scan.visits, a1_inequality_holds and
-    a1_ratio_stride_increases; only their finite premises are evaluated.
-    The scan over a >= 2 covers n <= n_max. The inequality steps state the
-    range [19, max(ineq_max, 10^5, n_max)], which the lemma covers at no
-    cost; the report states these ranges rather than the unbounded result.
+    The verdict rests on three lemmas proved for every n: the a = 1 and
+    a >= 2 branches of the scan (docstring of scan.visits) and the failure
+    of the multiplicity-one inequality above n = 18 (a1_inequality_holds,
+    a1_ratio_stride_increases). Only their finite bases are evaluated: the
+    scan always covers 4..BASE_N_MAX, the inequality 19..22. n_max and
+    ineq_max only set the ranges the report states.
     """
     if n_max < 9:
         raise ValueError(f"need n_max >= 9 to cover both cases, got {n_max}")
@@ -390,7 +394,7 @@ def verify_main_theorem(
         {"stride": 4, "range": [19, ineq_hi], "violations": probe_violations},
     )
 
-    survivors = enumerate_candidates(n_max, workers=workers)
+    survivors = enumerate_candidates(BASE_N_MAX, workers=workers)
     tuples = [s.as_tuple() for s in survivors]
     extras = [t for t in tuples if t not in (CASE1, CASE2)]
     add(
@@ -399,8 +403,9 @@ def verify_main_theorem(
         {"n_max": n_max, "survivors": tuples, "extras": extras,
          # the one imported fact the constraint chain rests on
          "imported_facts": ["cohomology-gate"],
-         # scan.visits settles a = 1 by a lemma that holds for every n
-         "coverage": {"a1": "all n, by the closed-form lemma", "a_ge_2": [4, n_max]}},
+         "coverage": {"a1": "all n, by the closed-form lemma",
+                      "a_ge_2": "all n, by the size lemma",
+                      "a_ge_2_base": [4, BASE_N_MAX]}},
     )
 
     closed_ok = True

@@ -79,8 +79,9 @@ def render_text(document: dict) -> str:
                          f"(the paper states it holds on all of {low_lo}..{low_hi})")
         if step["id"] == "theorem-2case":
             cover = step["witness"]["coverage"]
-            lo, hi = cover["a_ge_2"]
-            lines.append(f"    a = 1: {cover['a1']}; a >= 2: scanned on n = {lo}..{hi}")
+            lo, hi = cover["a_ge_2_base"]
+            lines.append(f"    a = 1: {cover['a1']}; a >= 2: {cover['a_ge_2']}, "
+                         f"base n = {lo}..{hi} scanned")
     lines.append(f"survivors: {document['survivors']}")
     lines.append(f"conclusion: {document['conclusion']}")
     return "\n".join(lines) + "\n"

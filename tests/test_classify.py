@@ -1,5 +1,6 @@
 """Tests for the classification pipeline and the case-2 exclusion."""
 
+import concurrent.futures
 import os
 from fractions import Fraction
 
@@ -20,11 +21,12 @@ from quadrocubic.classify import (
 )
 from quadrocubic import classify, constraints, scan
 from quadrocubic.constraints import check_degree_bound
-from quadrocubic.scan import scan_chunk, visits
+from quadrocubic.scan import BASE_N_MAX, scan_chunk, visits
 
 
 def _naive_pow_capped(a, e, cap):
-    """min(a**e, cap+1), with a**e = 1 for e <= 0, as scan._pow_capped."""
+    """min(a**e, cap+1), with a**e = 1 for e <= 0: a power the naive loops
+    compare with cap, bounded so that no loop builds a huge integer."""
     return min(a ** max(e, 0), cap + 1)
 
 
@@ -172,10 +174,10 @@ def test_partition_independence():
         assert parallel == sequential
 
 
-def test_pool_processes_bounded_by_chunks_and_cores(monkeypatch):
-    # a serial stand-in for the executor: 100000 workers must start no
-    # more processes than there are cores, and none is started here
-    requested = []
+def _serial_pool(monkeypatch):
+    """Replace the process pool with a serial stand-in; return the lists
+    of the processes it was asked for and of the tasks it was given."""
+    requested, tasks_seen = [], []
 
     class SerialPool:
         def __init__(self, max_workers):
@@ -188,12 +190,31 @@ def test_pool_processes_bounded_by_chunks_and_cores(monkeypatch):
             return False
 
         def map(self, fn, tasks):
+            tasks_seen.extend(tasks)
             return map(fn, tasks)
 
-    monkeypatch.setattr(classify, "ProcessPoolExecutor", SerialPool)
+    # enumerate_candidates imports the executor when it runs the pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return requested, tasks_seen
+
+
+def test_pool_processes_bounded_by_chunks_and_cores(monkeypatch):
+    # 100000 workers must start no more processes than there are chunks of
+    # the base 4..37 or cores, and none is started here
+    requested, _ = _serial_pool(monkeypatch)
     survivors = enumerate_candidates(200, workers=100000)
     assert [s.as_tuple() for s in survivors] == [CASE1, CASE2]
-    assert requested == [min(197, os.cpu_count() or 1)]
+    assert requested == [min(34, os.cpu_count() or 1)]
+
+
+def test_enumerate_huge_range_and_workers_is_bounded(monkeypatch):
+    # only the base 4..37 is split, whatever n_max: 34 one-n tasks, where
+    # splitting 4..10^12 into 10^9 chunks would build about 10^9 of them
+    requested, tasks = _serial_pool(monkeypatch)
+    survivors = enumerate_candidates(10**12, workers=10**9)
+    assert [s.as_tuple() for s in survivors] == [CASE1, CASE2]
+    assert tasks == [(n, n, None) for n in range(4, BASE_N_MAX + 1)]
+    assert requested == [min(34, os.cpu_count() or 1)]
 
 
 def test_a_max_override():
@@ -215,8 +236,8 @@ def test_kernel_agrees_with_naive_oracle(a_max, implied_clauses):
 
 
 def _bounded_tuples(n_max, a_max_override):
-    """(all (n, m1, a, m2) passing links 1 and 2 and the integrality of c,
-    the subset of those that also pass link 7's first inequality), from
+    """(all (n, m1, a, m2) passing links 1 and 2, the subset of those that
+    also pass the integrality of c and link 7's first inequality), from
     the naive loop."""
     domain, kept = set(), set()
     for n in range(4, n_max + 1):
@@ -231,10 +252,10 @@ def _bounded_tuples(n_max, a_max_override):
                 while a_max_override is None or a <= a_max_override:
                     if min(a**e1, n1sq + 1) * (n - m1) * e1 > n1sq:
                         break
-                    if (a * (n + 1) - e2) % e1 == 0:
-                        domain.add((n, m1, a, m2))
-                        if min(a ** (e2 - 1), n1sq + 1) * e2 * e1 < n1sq:
-                            kept.add((n, m1, a, m2))
+                    domain.add((n, m1, a, m2))
+                    if ((a * (n + 1) - e2) % e1 == 0
+                            and min(a ** (e2 - 1), n1sq + 1) * e2 * e1 < n1sq):
+                        kept.add((n, m1, a, m2))
                     a += 1
     return domain, kept
 
@@ -296,23 +317,54 @@ def test_named_predicates_agree_with_naive_chain(implied_clauses):
 
 
 def test_visits_settles_large_n_without_a_power(monkeypatch):
-    # past small n every (n, m1) the a >= 2 loop reaches has link 1's gate
-    # on, so 2^(e2_min-1) > (n+1)^2 and visits moves on with no power taken;
-    # taking one costs about 2*log2(n) products per (n, m1)
-    def no_power(a, e, cap):
-        raise AssertionError(f"power taken: {a}^{e}")
+    # above n = 37 the lemmas in scan.visits leave no tuple, so visits
+    # yields nothing there and does no work: not even link 1's gate runs
+    def no_gate(n, m1):
+        raise AssertionError(f"gate evaluated at n={n}, m1={m1}")
 
-    monkeypatch.setattr(scan, "_pow_capped", no_power)
-    assert list(visits(1000, 1100)) == []
+    monkeypatch.setattr(scan, "check_betti_gate", no_gate)
+    assert list(visits(BASE_N_MAX + 1, 10**12)) == []
 
 
 def test_visits_work_is_pinned():
-    # the loop bounds leave 68 tuples with a >= 2 to the chain, all at
+    # the loop bounds leave 116 tuples with a >= 2 to the chain, all at
     # n <= 17, and none above; a change that widens the loops shows here
     assert list(visits(18, 2000)) == []
-    above_one = [(n, m1, a, m2) for n, m1, a, m2s in visits(4, 17) if a >= 2
-                 for m2 in m2s]
-    assert len(above_one) == 68
+    above_one = [(n, m1, a, m2) for n, m1, a, m2s in visits(4, BASE_N_MAX)
+                 if a >= 2 for m2 in m2s]
+    assert len(above_one) == 116
+    assert max(n for n, *_ in above_one) == 17
+
+
+def test_a_ge_2_lemma_threshold_is_exact():
+    # the lemma in scan.visits needs n >= 4*bit_length((n+1)^2) - 6: it
+    # fails at n = 37 and holds from n = 38 on
+    def below(n):
+        return n < 4 * ((n + 1) ** 2).bit_length() - 6
+
+    assert BASE_N_MAX == 37 and below(37)
+    assert not any(below(n) for n in range(38, 10**5 + 1))
+
+
+def test_a_ge_2_lemma_matches_naive_loop():
+    # no tuple with a >= 2 and 38 <= n <= 200 passes links 1 and 2 and
+    # the first inequality of link 7, with no bound of scan.visits used
+    passing = []
+    for n in range(38, 201):
+        n1sq = (n + 1) ** 2
+        for m1 in range(2, n - 1):
+            e1 = n - m1 - 1
+            gate = 4 * m1 >= 3 * n - 2
+            for m2 in range(1, m1):
+                if gate and m2 > n - m1 - 2:
+                    continue
+                e2 = n - m2 - 1
+                a = 2
+                while _naive_pow_capped(a, e1, n1sq) * (n - m1) * e1 <= n1sq:
+                    if _naive_pow_capped(a, e2 - 1, n1sq) * e2 * e1 < n1sq:
+                        passing.append((n, m1, a, m2))
+                    a += 1
+    assert passing == []
 
 
 def test_scan_decides_with_the_named_predicates(monkeypatch):
@@ -419,7 +471,8 @@ def test_verify_scope_stated_in_report():
     scan_step = next(s for s in report.steps if s.id == "theorem-2case")
     assert scan_step.witness["n_max"] == 30
     assert scan_step.witness["coverage"] == {
-        "a1": "all n, by the closed-form lemma", "a_ge_2": [4, 30]}
+        "a1": "all n, by the closed-form lemma", "a_ge_2": "all n, by the size lemma",
+        "a_ge_2_base": [4, 37]}
 
 
 def test_verify_settles_the_inequality_with_a_fixed_call_budget(monkeypatch):

@@ -98,6 +98,47 @@ def test_eval_power_above_n_is_rejected_at_once(expr, message):
     assert message in proc.stderr
 
 
+def test_enumerate_huge_n_max_runs_in_bounded_time():
+    # the lemmas of scan.visits leave only the base 4..37 to scan, so the
+    # stated range costs nothing; a scan of every n would never end
+    src = str(Path(quadrocubic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadrocubic", "enumerate", "--json",
+         "--n-max", "1000000000000"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == {
+        "n_max": 10**12, "survivors": [[4, 1, 3, 2, 2, 1], [9, 1, 3, 2, 6, 4]]}
+
+
+def test_verify_huge_n_max_with_pool_runs_in_bounded_time():
+    # verify scans the base 4..37 whatever --n-max states, and the pool
+    # splits only the base
+    src = str(Path(quadrocubic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadrocubic", "verify", "--threads", "2",
+         "--n-max", "1000000000000"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.endswith("conclusion: quadro-cubic unique\n")
+
+
+def test_package_import_leaves_out_the_process_pool():
+    # only enumerate_candidates' pool branch imports the executor
+    src = str(Path(quadrocubic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quadrocubic.cli; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.stdout == "False\n"
+
+
 def test_verify_large_ineq_max_runs_in_bounded_time():
     # the inequality above 18 is settled by a lemma, so the stated range
     # costs nothing; evaluating it value by value would take days
@@ -284,7 +325,8 @@ def test_verify_text_output(capsys):
     assert "[pass] theorem-2case" in out
     assert "conclusion: quadro-cubic unique" in out
     assert ("[pass] theorem-2case\n"
-            "    a = 1: all n, by the closed-form lemma; a >= 2: scanned on n = 4..9\n") in out
+            "    a = 1: all n, by the closed-form lemma; a >= 2: all n, by the size lemma, "
+            "base n = 4..37 scanned\n") in out
     assert ("[pass] a1-inequality-range\n"
             "    range 19..100000, holds at: none; low range 4..18, fails at: 15, 16 "
             "(the paper states it holds on all of 4..18)\n") in out
