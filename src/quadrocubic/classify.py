@@ -148,8 +148,11 @@ def closed_form_dims(n: int) -> tuple[Fraction, Fraction]:
 
 
 def _attribute(raw: tuple) -> ConfigTuple:
-    """Re-verify a kernel survivor against the named predicates."""
+    """Re-verify a kernel survivor against the named predicates, on the
+    domain that `constraints.chain` takes as its premise."""
     n, a, c, d, m1, m2 = raw
+    if not 1 <= m2 < m1 <= n - 2:
+        raise RuntimeError(f"kernel survivor {raw} is outside the domain 1 <= m2 < m1 <= n-2")
     if katz_cd(n, a, m1, m2) != (c, d):
         raise RuntimeError(f"kernel survivor {raw} does not reproduce under katz_cd")
     passed = []
@@ -160,9 +163,7 @@ def _attribute(raw: tuple) -> ConfigTuple:
     return ConfigTuple(n, a, c, d, m1, m2, provenance=tuple(passed))
 
 
-def enumerate_candidates(
-    n_max: int, a_max_override: int | None = None, workers: int = 1
-) -> list[ConfigTuple]:
+def enumerate_candidates(n_max: int, workers: int = 1) -> list[ConfigTuple]:
     """All tuples with 4 <= n <= n_max passing the full constraint chain,
     sorted by (n, a, m1). The lemmas of scan.visits leave no survivor
     above BASE_N_MAX, so only 4..min(n_max, BASE_N_MAX) is scanned.
@@ -172,15 +173,12 @@ def enumerate_candidates(
         raise ValueError(f"need n_max >= 4, got {n_max}")
     n_hi = min(n_max, BASE_N_MAX)
     if workers <= 1:
-        raw = _scan_range(4, n_hi, a_max_override)
+        raw = _scan_range(4, n_hi)
     else:
         # imported here: only the pool needs it, and it costs each start 20 ms
         from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, (n_hi - 3 + workers - 1) // workers)
-        tasks = [
-            (lo, min(lo + chunk - 1, n_hi), a_max_override)
-            for lo in range(4, n_hi + 1, chunk)
-        ]
+        tasks = [(lo, min(lo + chunk - 1, n_hi)) for lo in range(4, n_hi + 1, chunk)]
         # the executor starts all of its processes at once, so never ask
         # for more than there are chunks or cores
         processes = min(workers, len(tasks), os.cpu_count() or 1)
@@ -265,8 +263,8 @@ def exclude_case2() -> ExclusionWitness:
     if resultant == 0:
         raise ExclusionFailure("modular elimination is vacuous")
 
-    alpha_max, primes = _largest_square_free_part(resultant)
-    if alpha_max != 1:
+    alpha_bound, primes = _largest_square_free_part(resultant)
+    if alpha_bound != 1:
         raise ExclusionFailure(f"{resultant} is not squarefree; alpha not forced to 1")
     alpha = 1
     betas = sorted(

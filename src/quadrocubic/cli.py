@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .classify import (
@@ -30,30 +29,11 @@ from .evaluate import eval_expr
 from .ringeval import DegreeMismatch
 
 
-def _plain(value):
-    """Recursively convert report values to JSON-stable primitives.
-
-    Integers stay integers, rationals render as 'p/q' in lowest terms,
-    everything exotic renders through str(); key order is insertion
-    order, which is fixed by construction."""
-    if value is None or isinstance(value, (int, str)):  # bool is an int
-        return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return [_plain(v) for v in sorted(value)]
-    return str(value)
-
-
 def report_document(report: VerificationReport, config: dict) -> dict:
     return {
-        "meta": {"version": __version__, "backend": scan_backend(), "config": _plain(config)},
+        "meta": {"version": __version__, "backend": scan_backend(), "config": config},
         "steps": [
-            {"id": s.id, "status": s.status, "witness": _plain(s.witness)}
+            {"id": s.id, "status": s.status, "witness": s.witness}
             for s in report.steps
         ],
         "survivors": [list(s.as_tuple()) for s in report.survivors],
@@ -119,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="run the candidate scan")
     p_enum.add_argument("--n-max", type=int, default=200)
-    p_enum.add_argument("--a-max", type=int, default=None)
     p_enum.add_argument("--json", action="store_true")
 
     p_eval = sub.add_parser("eval", help="evaluate an intersection expression")
@@ -162,9 +141,7 @@ def run_cli(argv: list[str] | None = None) -> int:
 
     if args.command == "enumerate":
         try:
-            if args.a_max is not None and args.a_max < 1:
-                raise ValueError(f"need a_max >= 1, got {args.a_max}")
-            survivors = enumerate_candidates(args.n_max, a_max_override=args.a_max)
+            survivors = enumerate_candidates(args.n_max)
         except ValueError as exc:
             return _usage_error(exc)
         if args.json:

@@ -1,12 +1,13 @@
 """Named numerical constraints on a candidate parameter tuple.
 
 Each predicate is side-effect-free, returns its verdict as a bool, and
-mirrors one derived relation: the ordering c > d >= 2, divisibility of
-cd-1, the two size estimates, and the degree bound on the smaller center.
-The chain keeps only independent links; the docstring of `chain` proves
-that every clause it dropped (the canonical-class identities, the
-congruences on the center dimensions, and the estimate's positivity and
-divisibility) follows from the links it keeps.
+mirrors one derived relation: the bound d >= 2, divisibility of cd-1,
+the size estimate, and the degree bound on the smaller center. The chain
+keeps only independent links; the docstring of `chain` proves that every
+clause it dropped (the ordering c > d, the canonical-class identities,
+the congruences on the center dimensions, the estimate's second
+inequality, positivity and divisibility) follows from the links it keeps
+and the domain 1 <= m2 < m1 <= n-2.
 
 One link rests on an imported fact rather than a derivation: the
 cohomology gate, from the forced low-degree Betti numbers of the
@@ -48,10 +49,12 @@ def check_eh_divisibility(n: int, a: int, m2: int, cd_minus_1: int) -> bool:
 
 
 def check_estimate(n: int, a: int, m1: int, m2: int) -> bool:
-    """The two size inequalities bounding a."""
+    """The size inequality a^(e2-1)*e2*e1 < (n+1)^2 bounding a. The
+    estimate's second inequality, a^(e2-1)*e2 >= a^e1*(n-m1), follows from
+    the domain m2 < m1 (see `chain`)."""
     e1 = n - m1 - 1
     e2 = n - m2 - 1  # e2 >= 2 since m2 <= n - 3
-    return (n + 1) ** 2 > a ** (e2 - 1) * e2 * e1 >= a**e1 * (n - m1) * e1
+    return (n + 1) ** 2 > a ** (e2 - 1) * e2 * e1
 
 
 def check_degree_bound(d2: int, d: int, a: int, n: int, m2: int) -> bool:
@@ -61,31 +64,39 @@ def check_degree_bound(d2: int, d: int, a: int, n: int, m2: int) -> bool:
     return d2 < Fraction(d, a) ** (n - m2)
 
 
-def check_katz_consistency(c: int, d: int) -> bool:
-    """c > d >= 2; the rest of the canonical-class consistency is implied
-    by the integrality of (c, d) and link 8 (see `chain`)."""
-    return c > d >= 2
+def check_katz_consistency(d: int) -> bool:
+    """d >= 2; c > d follows from the domain m2 < m1, and the rest of the
+    canonical-class consistency from the integrality of (c, d) and
+    link 8 (see `chain`)."""
+    return d >= 2
 
 
 def chain(n: int, a: int, c: int, d: int, m1: int, m2: int) -> Iterator[tuple[str, bool]]:
     """The constraint chain on an assembled tuple, as (id, holds) pairs.
 
     Lazy: `all(ok for _, ok in chain(...))` stops at the first failing
-    link. The caller takes (c, d) from katz_cd and keeps integral ones.
-    With e1 = n-m1-1, e2 = n-m2-1 and N = n+1, the links, numbered as the
-    proofs in `scan.visits` cite them, are:
+    link. The premise is the domain 1 <= m2 < m1 <= n-2; the caller
+    keeps to it, takes (c, d) from katz_cd and keeps integral ones.
+    With e1 = n-m1-1, e2 = n-m2-1 and N = n+1, so that 1 <= e1 < e2,
+    the links, numbered as the proofs in `scan.visits` cite them, are:
       1. cohomology-gate: if 4*m1 >= 3n-2 then m2 <= n-m1-2,
-      2. a^e1*(n-m1)*e1 <= N^2, implied by link 7,
+      2. a^e1*(n-m1)*e1 <= N^2, implied by link 7 and the domain,
       3. (deleted: the imported multiplicity-one criterion),
       4. integrality of c = (a*N-e2)/e1 and d = (a*N-e1)/e2 (the caller),
-      5. katz-consistency: c > d >= 2,
+      5. katz-consistency: d >= 2,
       6. (deleted: the congruences on the center dimensions),
-      7. estimate: a^(e2-1)*e2*e1 < N^2 and a^(e2-1)*e2 >= a^e1*(e1+1),
+      7. estimate: a^(e2-1)*e2*e1 < N^2,
       8. eh-divisibility: a^(n-m2) | cd-1.
     The pairs come in ConfigTuple.provenance's order: 5, 8, 7, 1.
 
-    Every clause dropped from links 5-7 is implied. Link 4 gives
+    Every clause dropped from links 2 and 5-7 is implied. Link 4 gives
     c*e1 + e2 = a*N and d*e2 + e1 = a*N. Then:
+    - c > d (once in link 5): subtracting, (c-1)*e1 = (d-1)*e2, and
+      with d-1 >= 1 and e2 > e1 >= 1 this is > (d-1)*e1, so c-1 > d-1.
+    - a^(e2-1)*e2 >= a^e1*(e1+1) (once in link 7): link 5 gives
+      a*N = d*e2 + e1 > 0, so a >= 1, and then e2 >= e1 + 1 gives
+      a^(e2-1) >= a^e1. Times e1 and with link 7 this is link 2, as
+      n-m1 = e1+1.
     - Canonical-class identities (once in link 5):
       e1*(cd-1) = d*(a*N - e2) - e1 = a*N*d - a*N = a*N*(d-1), and
       e2*(cd-1) = a*N*(c-1) likewise.
@@ -98,9 +109,9 @@ def chain(n: int, a: int, c: int, d: int, m1: int, m2: int) -> Iterator[tuple[st
       identity (cd-1)*e1*e2 = a*N*(d-1)*e2 = a*N*(a*N - e1 - e2) = a*num,
       which is `cd_minus_one`. So e1*e2*a^e2 | num iff a^(e2+1) | cd-1,
       which is link 8 (e2+1 = n-m2), and num > 0 because cd > 1 when
-      c > d >= 2.
+      c > d >= 2 (the first step).
     """
-    yield "katz-consistency", check_katz_consistency(c, d)
+    yield "katz-consistency", check_katz_consistency(d)
     yield "eh-divisibility", check_eh_divisibility(n, a, m2, c * d - 1)
     yield "estimate", check_estimate(n, a, m1, m2)
     yield "cohomology-gate", not (check_betti_gate(n, m1) and m2 > n - m1 - 2)

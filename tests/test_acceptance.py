@@ -197,8 +197,8 @@ def test_criterion_8_property_suites():
 
 def _visited_tuples(n_max):
     """Yield every (n, m1, m2, a) of the naive scan loop: all m2 the
-    cohomology gate admits and every a up to the a-cap. The kernel visits
-    a subset of these."""
+    cohomology gate admits and every a up to link 2's bound. The kernel
+    visits a subset of these."""
     for n in range(4, n_max + 1):
         n1sq = (n + 1) ** 2
         for m1 in range(2, n - 1):

@@ -30,11 +30,12 @@ def _naive_pow_capped(a, e, cap):
     return min(a ** max(e, 0), cap + 1)
 
 
-def naive_scan(n_lo, n_hi, a_max_override=None, implied_clauses=True):
-    """Reference for scan_chunk: every (n, m1, m2, a) up to the a-cap,
+def naive_scan(n_lo, n_hi, a_max=None, implied_clauses=True):
+    """Reference for scan_chunk: every (n, m1, m2, a) with a <= a_max,
     each pushed through the constraint chain with no loop bound derived
-    from the chain. With implied_clauses, also through every clause
-    `constraints.chain` proves implied and drops."""
+    from the chain, and with the chain's full links 5 and 7. With
+    implied_clauses, also through every other clause `constraints.chain`
+    proves implied and drops."""
     out = []
     for n in range(max(4, n_lo), n_hi + 1):
         n1sq = (n + 1) ** 2
@@ -48,7 +49,7 @@ def naive_scan(n_lo, n_hi, a_max_override=None, implied_clauses=True):
                 a = 0
                 while True:
                     a += 1
-                    if a_max_override is not None and a > a_max_override:
+                    if a_max is not None and a > a_max:
                         break
                     if _naive_pow_capped(a, e1, n1sq) * (n - m1) * e1 > n1sq:
                         break
@@ -213,32 +214,23 @@ def test_enumerate_huge_range_and_workers_is_bounded(monkeypatch):
     requested, tasks = _serial_pool(monkeypatch)
     survivors = enumerate_candidates(10**12, workers=10**9)
     assert [s.as_tuple() for s in survivors] == [CASE1, CASE2]
-    assert tasks == [(n, n, None) for n in range(4, BASE_N_MAX + 1)]
+    assert tasks == [(n, n) for n in range(4, BASE_N_MAX + 1)]
     assert requested == [min(34, os.cpu_count() or 1)]
-
-
-def test_a_max_override():
-    # capping a at 0 removes everything; at 1 keeps the paper tuples
-    assert enumerate_candidates(60, a_max_override=0) == []
-    capped = [s.as_tuple() for s in enumerate_candidates(60, a_max_override=1)]
-    assert capped == [CASE1, CASE2]
 
 
 # implied_clauses: whether the oracle also runs the clauses the chain
 # drops as implied; the kernel must agree either way
 @pytest.mark.parametrize("implied_clauses", [True, False])
-@pytest.mark.parametrize("a_max", [None, 1, 2, 5])
-def test_kernel_agrees_with_naive_oracle(a_max, implied_clauses):
-    expected = sorted(naive_scan(4, 60, a_max, implied_clauses))
-    assert sorted(scan_chunk(4, 60, a_max)) == expected
-    split = scan_chunk(4, 30, a_max) + scan_chunk(31, 60, a_max)
+def test_kernel_agrees_with_naive_oracle(implied_clauses):
+    expected = sorted(naive_scan(4, 60, implied_clauses=implied_clauses))
+    assert sorted(scan_chunk(4, 60)) == expected
+    split = scan_chunk(4, 30) + scan_chunk(31, 60)
     assert sorted(split) == expected
 
 
-def _bounded_tuples(n_max, a_max_override):
+def _bounded_tuples(n_max):
     """(all (n, m1, a, m2) passing links 1 and 2, the subset of those that
-    also pass the integrality of c and link 7's first inequality), from
-    the naive loop."""
+    also pass the integrality of c and link 7), from the naive loop."""
     domain, kept = set(), set()
     for n in range(4, n_max + 1):
         n1sq = (n + 1) ** 2
@@ -249,7 +241,7 @@ def _bounded_tuples(n_max, a_max_override):
                     continue
                 e2 = n - m2 - 1
                 a = 1
-                while a_max_override is None or a <= a_max_override:
+                while True:
                     if min(a**e1, n1sq + 1) * (n - m1) * e1 > n1sq:
                         break
                     domain.add((n, m1, a, m2))
@@ -261,16 +253,15 @@ def _bounded_tuples(n_max, a_max_override):
 
 
 @pytest.mark.parametrize("split", [True, False])
-@pytest.mark.parametrize("a_max", [None, 1, 2, 5])
-def test_visits_skip_only_tuples_the_chain_rejects(a_max, split):
+def test_visits_skip_only_tuples_the_chain_rejects(split):
     # for a >= 2 the loop bounds in scan.visits must keep every tuple that
     # can pass the links they replace, and nothing outside the naive loop's
     # domain; a = 1 is settled by the lemma, which leaves two tuples; the
     # bounds must not depend on how the n range is cut into chunks
-    domain, kept = _bounded_tuples(60, a_max)
+    domain, kept = _bounded_tuples(60)
     ranges = [(4, 30), (31, 60)] if split else [(4, 60)]
     visited = [(n, m1, a, m2) for lo, hi in ranges
-               for n, m1, a, m2s in visits(lo, hi, a_max) for m2 in m2s]
+               for n, m1, a, m2s in visits(lo, hi) for m2 in m2s]
     assert len(visited) == len(set(visited))
     above_one = {t for t in visited if t[2] >= 2}
     assert {t for t in kept if t[2] >= 2} <= above_one <= domain
@@ -348,7 +339,7 @@ def test_a_ge_2_lemma_threshold_is_exact():
 
 def test_a_ge_2_lemma_matches_naive_loop():
     # no tuple with a >= 2 and 38 <= n <= 200 passes links 1 and 2 and
-    # the first inequality of link 7, with no bound of scan.visits used
+    # link 7, with no bound of scan.visits used
     passing = []
     for n in range(38, 201):
         n1sq = (n + 1) ** 2
@@ -375,6 +366,15 @@ def test_scan_decides_with_the_named_predicates(monkeypatch):
     assert scan_chunk(4, 60) == []
     with pytest.raises(RuntimeError, match="fails predicate estimate"):
         _attribute(CASE1)
+
+
+def test_attribute_rejects_tuples_outside_the_domain():
+    # m1 = m2 passes the reduced chain, whose links 5 and 7 take
+    # m2 < m1 as their premise; the re-check must reject it on the domain
+    raw = (5, 1, 2, 2, 2, 2)
+    assert all(ok for _, ok in constraints.chain(*raw))
+    with pytest.raises(RuntimeError, match="outside the domain 1 <= m2 < m1 <= n-2"):
+        _attribute(raw)
 
 
 def test_enumerate_large_n():

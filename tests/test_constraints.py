@@ -50,11 +50,11 @@ def test_eh_divisibility():
 def test_estimate_examples():
     assert check_estimate(4, 1, 2, 1)
     assert check_estimate(9, 1, 6, 4)
-    # each fails one inequality only: a^(e2-1)*e2*e1 = 54 reaches
-    # N^2 = 36; a^(e2-1)*e2*e1 = 4 is below a^e1*(n-m1)*e1 = 6, which
-    # takes m2 >= m1
+    # a^(e2-1)*e2*e1 = 54 reaches N^2 = 36; the bound is strict: 64 at
+    # (7, 32, 5, 4) meets N^2 = 64, and 62 at (7, 31, 5, 4) is below it
     assert not check_estimate(5, 3, 2, 1)
-    assert not check_estimate(6, 1, 3, 3)
+    assert not check_estimate(7, 32, 5, 4)
+    assert check_estimate(7, 31, 5, 4)
     # the clauses `chain` proves implied are not checked here: the
     # numerator is 0 at (6, 1, 2, 1), 35 at (4, 2, 2, 1), which 8 does
     # not divide, and 60 at (4, 3, 2, 1), which 2*3^2 does not divide
@@ -81,17 +81,19 @@ def test_degree_bound_is_strict_and_exact():
 
 
 def test_katz_consistency():
-    assert check_katz_consistency(3, 2)
-    assert not check_katz_consistency(2, 2)  # c > d violated
-    assert not check_katz_consistency(3, 1)  # d >= 2 violated
-    assert not check_katz_consistency(1, 2)
+    # link 5 is d >= 2; c > d follows from the domain m2 < m1
+    assert check_katz_consistency(2)
+    assert not check_katz_consistency(1)
+    # (n, a, m1, m2) = (6, 1, 2, 1) is in the domain, with d = 1
+    assert katz_cd(6, 1, 2, 1) == (1, 1)
+    assert dict(chain(6, 1, 1, 1, 2, 1))["katz-consistency"] is False
 
 
 def test_katz_consistency_reproduces_cd():
     # any tuple passing the consistency check reproduces (c, d) in closed form
     for tup in [(4, 1, 3, 2, 2, 1), (9, 1, 3, 2, 6, 4)]:
         n, a, c, d, m1, m2 = tup
-        assert check_katz_consistency(c, d)
+        assert check_katz_consistency(d)
         assert katz_cd(n, a, m1, m2) == (c, d)
 
 
@@ -113,7 +115,7 @@ def test_dropped_clauses_are_implied():
     # the proof in `chain`, on every tuple of the naive loop with integral
     # (c, d): each clause the chain dropped holds under the premise its
     # proof states, and the estimate's divisibility is exactly link 8
-    met = {"integral": 0, "link 8": 0, "c > d >= 2": 0}
+    met = {"integral": 0, "link 8": 0, "d >= 2": 0}
     for n, m1, m2, a in _visited_tuples(60):
         c, d = katz_cd(n, a, m1, m2)
         if c.denominator != 1 or d.denominator != 1:
@@ -130,12 +132,35 @@ def test_dropped_clauses_are_implied():
         assert (numer % (e1 * e2 * a**e2) == 0) == link8
         if link8:
             assert cdm1 % a == 0
-        if check_katz_consistency(c, d):
+        if check_katz_consistency(d):
             assert numer > 0
         met["integral"] += 1
         met["link 8"] += link8
-        met["c > d >= 2"] += check_katz_consistency(c, d)
+        met["d >= 2"] += check_katz_consistency(d)
     assert all(met.values()), met
+
+
+def test_domain_implies_dropped_clauses():
+    # the first two steps of the proof in `chain`: on the domain
+    # 1 <= m2 < m1 <= n-2, every integral (c, d) with d >= 2 has c > d and
+    # meets link 7's second inequality. Checked on the whole domain up to
+    # n = 80 and every a <= 8, with neither link 1's gate nor link 2's
+    # bound on a, which the naive loop applies
+    met = 0
+    for n in range(4, 81):
+        for m1 in range(2, n - 1):
+            e1 = n - m1 - 1
+            for m2 in range(1, m1):
+                e2 = n - m2 - 1
+                for a in range(1, 9):
+                    c, c_rest = divmod(a * (n + 1) - e2, e1)
+                    d, d_rest = divmod(a * (n + 1) - e1, e2)
+                    if c_rest or d_rest or not check_katz_consistency(d):
+                        continue
+                    assert c > d, (n, a, m1, m2)
+                    assert a ** (e2 - 1) * e2 >= a**e1 * (e1 + 1), (n, a, m1, m2)
+                    met += 1
+    assert met == 5454
 
 
 CHAIN_IDS = ["katz-consistency", "eh-divisibility", "estimate", "cohomology-gate"]
@@ -154,5 +179,5 @@ def test_chain_stops_at_the_first_failure(monkeypatch):
         raise AssertionError("link after a failure was evaluated")
 
     monkeypatch.setattr(constraints, "check_eh_divisibility", unreachable)
-    # c = d fails katz-consistency, the first link
-    assert not all(ok for _, ok in chain(4, 1, 2, 2, 2, 1))
+    # d = 1 fails katz-consistency, the first link
+    assert not all(ok for _, ok in chain(4, 1, 3, 1, 2, 1))
