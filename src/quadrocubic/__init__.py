@@ -15,9 +15,6 @@ from .classify import (
     CASE2,
     ConfigTuple,
     ExclusionFailure,
-    ExclusionWitness,
-    Step,
-    VerificationReport,
     closed_form_dims,
     enumerate_candidates,
     exclude_case2,
@@ -57,7 +54,6 @@ __all__ = [
     "DegreeMismatch",
     "DivisorClass",
     "ExclusionFailure",
-    "ExclusionWitness",
     "GeometryParams",
     "InconsistentSystem",
     "IntersectionTable",
@@ -66,8 +62,6 @@ __all__ = [
     "ParseError",
     "Poly",
     "RankDeficient",
-    "Step",
-    "VerificationReport",
     "canonical_class",
     "closed_form_dims",
     "enumerate_candidates",

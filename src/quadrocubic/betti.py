@@ -17,17 +17,14 @@ in reports rather than silently absorbing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class BettiSeq:
     """Even Betti numbers (h^0, h^2, ..., h^(2m)) of an m-dimensional center."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(self.values))
+    def __init__(self, values):
+        self.values = tuple(values)
         if not self.values:
             raise ValueError("empty Betti sequence")
         if any(v < 0 for v in self.values):
@@ -84,20 +81,12 @@ class BettiContradiction(RuntimeError):
     """A step of the hard-wired derivation failed its arithmetic check."""
 
 
-@dataclass(frozen=True)
-class Case2Betti:
-    """Outcome of the nine-dimensional derivation with its step log."""
-
-    a: BettiSeq
-    b: BettiSeq
-    steps: tuple[tuple[str, str], ...]
-
-
-def derive_case2_betti() -> Case2Betti:
+def derive_case2_betti() -> dict:
     """Replay the forced Betti computation for n=9, m1=6, m2=4.
 
-    Each step records its justification; any arithmetic failure raises
-    BettiContradiction with the offending step.
+    Returns verify's `case2-betti` witness: the two sequences as "a" and
+    "b", and as "derivation" the [step id, justification] pairs. Any
+    arithmetic failure raises BettiContradiction with the offending step.
     """
     n, m1, m2 = 9, 6, 4
     steps: list[tuple[str, str]] = []
@@ -146,4 +135,4 @@ def derive_case2_betti() -> Case2Betti:
     if not difference_relation(aseq, bseq, n, m1, m2):
         raise BettiContradiction("derived sequences violate the difference relation")
     steps.append(("replay-invariants", "palindrome, positivity, difference relation"))
-    return Case2Betti(aseq, bseq, tuple(steps))
+    return {"a": a, "b": b, "derivation": [list(s) for s in steps]}

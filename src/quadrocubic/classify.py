@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .betti import derive_case2_betti
@@ -45,51 +44,18 @@ def _scan_task(args):
     return _scan_range(*args)
 
 
-@dataclass(frozen=True)
 class ConfigTuple:
     """A surviving candidate with the names of the constraints it passed."""
 
-    n: int
-    a: int
-    c: int
-    d: int
-    m1: int
-    m2: int
-    provenance: tuple[str, ...] = ()
+    __slots__ = ("n", "a", "c", "d", "m1", "m2", "provenance")
+
+    def __init__(self, n: int, a: int, c: int, d: int, m1: int, m2: int,
+                 provenance: tuple[str, ...] = ()):
+        self.n, self.a, self.c, self.d, self.m1, self.m2 = n, a, c, d, m1, m2
+        self.provenance = provenance
 
     def as_tuple(self) -> tuple[int, int, int, int, int, int]:
         return (self.n, self.a, self.c, self.d, self.m1, self.m2)
-
-
-@dataclass(frozen=True)
-class Step:
-    id: str
-    status: str
-    witness: dict
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    steps: tuple[Step, ...]
-    survivors: tuple[ConfigTuple, ...]
-    conclusion: str
-
-
-@dataclass(frozen=True)
-class ExclusionWitness:
-    """Record of the nine-dimensional exclusion chain."""
-
-    alpha: int
-    beta_candidates: frozenset[int]
-    d2_bound: Fraction
-    contradiction: str
-    steps: tuple[tuple[str, str], ...]
-
-    def as_dict(self) -> dict:
-        """The `exclude-case2 --json` document, also verify's witness."""
-        return {"alpha": self.alpha, "beta_candidates": sorted(self.beta_candidates),
-                "d2_bound": str(self.d2_bound), "contradiction": self.contradiction,
-                "chain": [list(s) for s in self.steps]}
 
 
 class ExclusionFailure(RuntimeError):
@@ -223,8 +189,13 @@ def _largest_square_free_part(n: int) -> tuple[int, list[int]]:
     return square, primes
 
 
-def exclude_case2() -> ExclusionWitness:
+def exclude_case2() -> dict:
     """Rule out the tuple (9, 1, 3, 2, 6, 4) by the degree contradiction.
+
+    Returns the `exclude-case2 --json` document, which is also verify's
+    `case2-exclusion` witness: alpha, the sorted beta candidates, the
+    bound on d2 as text, the contradiction, and as "chain" the
+    [step id, detail] pairs.
 
     Solve the four-monomial system for x = u6 and y = u7 as polynomials
     in d1, d2, and write d2 = alpha^4 * beta^2. Each path checks a
@@ -306,13 +277,8 @@ def exclude_case2() -> ExclusionWitness:
         raise ExclusionFailure(f"brute scan found feasible configurations: {feasible}")
     steps.append(("brute-scan", f"no feasible (alpha, beta) for any d2 in 2..{int(bound) - 1}"))
 
-    return ExclusionWitness(
-        alpha=alpha,
-        beta_candidates=frozenset(betas),
-        d2_bound=bound,
-        contradiction=contradiction,
-        steps=tuple(steps),
-    )
+    return {"alpha": alpha, "beta_candidates": betas, "d2_bound": str(bound),
+            "contradiction": contradiction, "chain": [list(s) for s in steps]}
 
 
 def _check_lattice_symbolics() -> dict:
@@ -344,10 +310,12 @@ def _check_lattice_symbolics() -> dict:
     return {"checked": checked, "failure": None}
 
 
-def verify_main_theorem(
-    n_max: int = 200, ineq_max: int = 100000, workers: int = 1
-) -> VerificationReport:
+def verify_main_theorem(n_max: int = 200, ineq_max: int = 100000, workers: int = 1) -> dict:
     """Run the whole pipeline and report the verdict.
+
+    The report is the `verify --json` document without its "meta": the
+    "steps", each a dict of "id", "status" and "witness", the
+    "survivors" as lists, and the "conclusion".
 
     The verdict rests on three lemmas proved for every n: the a = 1 and
     a >= 2 branches of the scan (docstring of scan.visits) and the failure
@@ -358,10 +326,10 @@ def verify_main_theorem(
     """
     if n_max < 9:
         raise ValueError(f"need n_max >= 9 to cover both cases, got {n_max}")
-    steps: list[Step] = []
+    steps: list[dict] = []
 
     def add(step_id: str, ok: bool, witness: dict):
-        steps.append(Step(step_id, "pass" if ok else "fail", witness))
+        steps.append({"id": step_id, "status": "pass" if ok else "fail", "witness": witness})
         return ok
 
     lattice_witness = _check_lattice_symbolics()
@@ -420,29 +388,23 @@ def verify_main_theorem(
     add("closed-form-crosscheck", closed_ok, details)
 
     try:
-        case2 = derive_case2_betti()
-        add(
-            "case2-betti",
-            True,
-            {"a": list(case2.a.values), "b": list(case2.b.values),
-             "derivation": [list(s) for s in case2.steps]},
-        )
+        add("case2-betti", True, derive_case2_betti())
     except Exception as exc:  # arithmetic contradiction in the replay
         add("case2-betti", False, {"error": str(exc)})
 
     try:
-        add("case2-exclusion", True, exclude_case2().as_dict())
+        add("case2-exclusion", True, exclude_case2())
         excluded = [CASE2]
     except ExclusionFailure as exc:
         add("case2-exclusion", False, {"error": str(exc)})
         excluded = []
 
-    final = tuple(s for s in survivors if s.as_tuple() not in excluded)
-    failed = [s.id for s in steps if s.status != "pass"]
+    final = [list(t) for t in tuples if t not in excluded]
+    failed = [s["id"] for s in steps if s["status"] != "pass"]
     if failed:
         conclusion = f"refuted at step {failed[0]}"
-    elif [s.as_tuple() for s in final] == [CASE1]:
+    elif final == [list(CASE1)]:
         conclusion = "quadro-cubic unique"
     else:
         conclusion = "inconclusive: unexpected survivor set"
-    return VerificationReport(tuple(steps), final, conclusion)
+    return {"steps": steps, "survivors": final, "conclusion": conclusion}

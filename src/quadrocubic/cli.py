@@ -17,28 +17,16 @@ import json
 import sys
 
 from . import __version__
-from .classify import (
-    VerificationReport,
-    enumerate_candidates,
-    exclude_case2,
-    scan_backend,
-    verify_main_theorem,
-)
+from .classify import enumerate_candidates, exclude_case2, scan_backend, verify_main_theorem
 from .parser import ParseError, parse_expr
 from .evaluate import eval_expr
 from .ringeval import DegreeMismatch
 
 
-def report_document(report: VerificationReport, config: dict) -> dict:
-    return {
-        "meta": {"version": __version__, "backend": scan_backend(), "config": config},
-        "steps": [
-            {"id": s.id, "status": s.status, "witness": s.witness}
-            for s in report.steps
-        ],
-        "survivors": [list(s.as_tuple()) for s in report.survivors],
-        "conclusion": report.conclusion,
-    }
+def report_document(report: dict, config: dict) -> dict:
+    """The `verify --json` document: "meta", then verify_main_theorem's report."""
+    return {"meta": {"version": __version__, "backend": scan_backend(), "config": config},
+            **report}
 
 
 def _listed(values: list) -> str:
@@ -137,7 +125,7 @@ def run_cli(argv: list[str] | None = None) -> int:
             _emit(report_document(report, config), args.json, args.report)
         except OSError as exc:
             return _usage_error(exc)
-        return 0 if report.conclusion == "quadro-cubic unique" else 1
+        return 0 if report["conclusion"] == "quadro-cubic unique" else 1
 
     if args.command == "enumerate":
         try:
@@ -181,11 +169,11 @@ def run_cli(argv: list[str] | None = None) -> int:
     if args.command == "exclude-case2":
         witness = exclude_case2()
         if args.json:
-            sys.stdout.write(json.dumps(witness.as_dict(), indent=2) + "\n")
+            sys.stdout.write(json.dumps(witness, indent=2) + "\n")
         else:
-            for step_id, detail in witness.steps:
+            for step_id, detail in witness["chain"]:
                 print(f"[{step_id}] {detail}")
-            print(f"contradiction: {witness.contradiction}")
+            print(f"contradiction: {witness['contradiction']}")
         return 0
 
     return 2

@@ -16,13 +16,6 @@ from .ringeval import DegreeMismatch, IntersectionTable, LinearForm
 Expansion = dict[tuple[int, int, int, int], int]
 
 
-def _add(p: Expansion, q: Expansion) -> Expansion:
-    out = dict(p)
-    for key, coeff in q.items():
-        out[key] = out.get(key, 0) + coeff
-    return {key: coeff for key, coeff in out.items() if coeff}
-
-
 def _mul(p: Expansion, q: Expansion, n: int) -> Expansion:
     """p*q, rejected unexpanded when its highest degree in (H, E) exceeds
     n: that part of p*q is the product of the factors' nonzero
@@ -65,12 +58,34 @@ def _expand(node: Node, n: int) -> Expansion:
             result = _mul(result, base, n)
         return result
     if isinstance(node, Mul):
-        return _mul(_expand(node.left, n), _expand(node.right, n), n)
-    if isinstance(node, Add):
-        return _add(_expand(node.left, n), _expand(node.right, n))
-    if isinstance(node, Sub):
-        neg = {key: -coeff for key, coeff in _expand(node.right, n).items()}
-        return _add(_expand(node.left, n), neg)
+        # the parser nests a product to the left, one level per factor, so
+        # fold the chain in a loop, multiplying from the left as written
+        rights = []
+        while isinstance(node, Mul):
+            rights.append(node.right)
+            node = node.left
+        result = _expand(node, n)
+        for right in reversed(rights):
+            result = _mul(result, _expand(right, n), n)
+        return result
+    if isinstance(node, (Add, Sub)):
+        # A sum nests to the left too. When several terms are at fault, the
+        # order the terms expand in decides which one the error names, and
+        # that order is kept: the right side of a '-' expands before all
+        # that is left of it, the right side of a '+' after.
+        first: list[tuple[int, Node]] = []
+        last: list[tuple[int, Node]] = []
+        while isinstance(node, (Add, Sub)):
+            if isinstance(node, Sub):
+                first.append((-1, node.right))
+            else:
+                last.append((1, node.right))
+            node = node.left
+        total: Expansion = {}
+        for sign, term in first + [(1, node)] + last[::-1]:
+            for key, coeff in _expand(term, n).items():
+                total[key] = total.get(key, 0) + sign * coeff
+        return {key: coeff for key, coeff in total.items() if coeff}
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -9,7 +9,6 @@ the charts with determinant -1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -25,25 +24,22 @@ class ConstraintViolation(ValueError):
         super().__init__(f"{name}: {message}")
 
 
-@dataclass(frozen=True)
 class GeometryParams:
     """Ambient dimension n and the two center dimensions m1 > m2."""
 
-    n: int
-    m1: int
-    m2: int
+    __slots__ = ("n", "m1", "m2")
 
-    def __post_init__(self):
-        if self.n < 4:
-            raise ConstraintViolation("dimension-floor", f"n={self.n} < 4")
-        if not (self.n - 2 >= self.m1 > self.m2 >= 1):
+    def __init__(self, n: int, m1: int, m2: int):
+        if n < 4:
+            raise ConstraintViolation("dimension-floor", f"n={n} < 4")
+        if not (n - 2 >= m1 > m2 >= 1):
             raise ConstraintViolation(
                 "center-dims",
-                f"need n-2 >= m1 > m2 >= 1, got n={self.n}, m1={self.m1}, m2={self.m2}",
+                f"need n-2 >= m1 > m2 >= 1, got n={n}, m1={m1}, m2={m2}",
             )
+        self.n, self.m1, self.m2 = n, m1, m2
 
 
-@dataclass(frozen=True)
 class LatticeParams:
     """Pairing numbers a = H1.F2, c = E1.F2, d = E2.F1.
 
@@ -51,43 +47,45 @@ class LatticeParams:
     hyperplane pairings is part of the setting, not a checked number.
     """
 
-    a: int
-    c: int
-    d: int
+    __slots__ = ("a", "c", "d")
 
-    def __post_init__(self):
-        if self.a <= 0 or self.c <= 0 or self.d <= 0:
+    def __init__(self, a: int, c: int, d: int):
+        if a <= 0 or c <= 0 or d <= 0:
             raise ConstraintViolation(
-                "pairing-positivity", f"need a, c, d > 0, got {self.a}, {self.c}, {self.d}"
+                "pairing-positivity", f"need a, c, d > 0, got {a}, {c}, {d}"
             )
+        self.a, self.c, self.d = a, c, d
 
 
-@dataclass(frozen=True)
 class DivisorClass:
     """Exact 2-vector in the basis {H, E} of one chart."""
 
-    chart: int
-    h: Fraction
-    e: Fraction
+    __slots__ = ("chart", "h", "e")
 
-    def __post_init__(self):
-        if self.chart not in (1, 2):
-            raise ValueError(f"chart must be 1 or 2, got {self.chart}")
-        object.__setattr__(self, "h", Fraction(self.h))
-        object.__setattr__(self, "e", Fraction(self.e))
+    def __init__(self, chart: int, h, e):
+        if chart not in (1, 2):
+            raise ValueError(f"chart must be 1 or 2, got {chart}")
+        self.chart, self.h, self.e = chart, Fraction(h), Fraction(e)
+
+    def __eq__(self, other):
+        if not isinstance(other, DivisorClass):
+            return NotImplemented
+        return (self.chart, self.h, self.e) == (other.chart, other.h, other.e)
+
+    def __repr__(self):
+        return f"DivisorClass({self.chart}, {self.h!r}, {self.e!r})"
 
 
-@dataclass(frozen=True)
 class BasisChange:
     """Integral 2x2 matrix sending chart-1 coordinates to chart-2 ones.
 
     Row 1 holds the chart-2 coordinates of H1, row 2 those of E1.
     """
 
-    m11: int
-    m12: int
-    m21: int
-    m22: int
+    __slots__ = ("m11", "m12", "m21", "m22")
+
+    def __init__(self, m11: int, m12: int, m21: int, m22: int):
+        self.m11, self.m12, self.m21, self.m22 = m11, m12, m21, m22
 
     def determinant(self) -> int:
         return self.m11 * self.m22 - self.m12 * self.m21

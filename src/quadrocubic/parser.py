@@ -7,14 +7,14 @@ Grammar:
     base   := int | 'H' | 'E' | 'd1' | 'd2' | '(' expr ')'
     int    := ['-'] digit+
 
+Groups nest at most MAX_NESTING deep.
+
 Juxtaposition of factors denotes multiplication, so expressions like
 "(2H-E)^8 (5H-3E)" paste straight in. Whitespace is insignificant; '*'
 between a coefficient and a generator is optional.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class ParseError(ValueError):
@@ -29,57 +29,106 @@ class ParseError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class _Node:
+    """An immutable AST node. Two nodes are equal when they have the same
+    type and equal fields, so Add(a, b) != Sub(a, b)."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash((type(self), self._fields()))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot change {name!r}: {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
 
 
-@dataclass(frozen=True)
-class Gen:
-    name: str  # 'H' or 'E'
+# Each node class spells out its __init__: the parser builds nodes on
+# every `eval`, and a shared __init__ looping over __slots__ is slower.
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Sym:
-    name: str  # 'd1' or 'd2'
+class IntLit(_Node):
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Group:
-    inner: "Node"
+class Gen(_Node):
+    __slots__ = ("name",)  # 'H' or 'E'
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
+class Sym(_Node):
+    __slots__ = ("name",)  # 'd1' or 'd2'
 
-    def __post_init__(self):
-        if self.exponent < 0:
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+
+class Group(_Node):
+    __slots__ = ("inner",)
+
+    def __init__(self, inner: "Node"):
+        _set(self, "inner", inner)
+
+
+class Pow(_Node):
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: "Node", exponent: int):
+        if exponent < 0:
             raise ValueError("exponent must be nonnegative")
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
+class Mul(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Node", right: "Node"):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
+class Add(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Node", right: "Node"):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
+class Sub(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Node", right: "Node"):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 Node = IntLit | Gen | Sym | Group | Pow | Mul | Add | Sub
 
 _TOKEN_CHARS = set("+-*^()")
+
+# Each group costs the parser and the expander a few stack frames, so deeper
+# input is a parse error, not a RecursionError.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str):
@@ -125,6 +174,7 @@ class _Parser:
             raise ParseError(1, ("expression",), "end of input")
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.depth = 0  # groups open at the current token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -211,9 +261,14 @@ class _Parser:
                 return Sym(value)
             raise ParseError(col, ("'H'", "'E'", "'d1'", "'d2'"), repr(value))
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(col, (f"at most {MAX_NESTING} nested groups",),
+                                 f"'(' at depth {MAX_NESTING + 1}")
             self.advance()
+            self.depth += 1
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return Group(inner)
         raise ParseError(
             col,

@@ -13,7 +13,6 @@ solved by elimination with Fraction pivots.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -129,7 +128,6 @@ class LinearForm:
         return f"LinearForm({self})"
 
 
-@dataclass(frozen=True)
 class IntersectionTable:
     """Values of H^(n-i) E^i on a chart whose center has dimension m.
 
@@ -137,13 +135,12 @@ class IntersectionTable:
     Entries above the center codimension are the unknowns u_i.
     """
 
-    n: int
-    m: int
-    deg: object
+    __slots__ = ("n", "m", "deg")
 
-    def __post_init__(self):
-        if not (1 <= self.m <= self.n - 2):
-            raise ValueError(f"need 1 <= m <= n-2, got n={self.n}, m={self.m}")
+    def __init__(self, n: int, m: int, deg):
+        if not (1 <= m <= n - 2):
+            raise ValueError(f"need 1 <= m <= n-2, got n={n}, m={m}")
+        self.n, self.m, self.deg = n, m, deg
 
     def entry(self, i: int) -> LinearForm:
         if not (0 <= i <= self.n):

@@ -120,11 +120,11 @@ def test_criterion_4_a1_inequality_split():
 
 def test_criterion_5_case2_betti():
     report = verify_main_theorem(9, ineq_max=1000)
-    step = next(s for s in report.steps if s.id == "case2-betti")
+    step = next(s for s in report["steps"] if s["id"] == "case2-betti")
     ok = (
-        step.status == "pass"
-        and step.witness["a"] == [1, 1, 2, 2, 2, 1, 1]
-        and step.witness["b"] == [1, 1, 1, 1, 1]
+        step["status"] == "pass"
+        and step["witness"]["a"] == [1, 1, 2, 2, 2, 1, 1]
+        and step["witness"]["b"] == [1, 1, 1, 1, 1]
     )
     assert _verdict(5, "n=9 Betti derivation", ok)
 
@@ -132,11 +132,11 @@ def test_criterion_5_case2_betti():
 def test_criterion_6_case2_exclusion():
     witness = exclude_case2()
     ok = (
-        witness.alpha == 1
-        and witness.beta_candidates == frozenset({7, 17, 119})
-        and witness.d2_bound == 32
-        and witness.contradiction == "49 > 31"
-        and dict(witness.steps)["brute-scan"].startswith("no feasible")
+        witness["alpha"] == 1
+        and witness["beta_candidates"] == [7, 17, 119]
+        and witness["d2_bound"] == "32"
+        and witness["contradiction"] == "49 > 31"
+        and dict(witness["chain"])["brute-scan"].startswith("no feasible")
     )
     assert _verdict(6, "case-2 exclusion, symbolic and brute paths agree", ok)
 
@@ -147,8 +147,8 @@ def test_criterion_7_end_to_end_verdict(capsys):
     report = verify_main_theorem(200)
     ok = (
         code == 0
-        and report.conclusion == "quadro-cubic unique"
-        and [s.as_tuple() for s in report.survivors] == [CASE1]
+        and report["conclusion"] == "quadro-cubic unique"
+        and report["survivors"] == [list(CASE1)]
     )
     assert _verdict(7, "verify exits 0 with the unique survivor", ok)
 

@@ -121,23 +121,24 @@ def test_check_betti_gate():
 
 def test_derive_case2_betti_values():
     result = derive_case2_betti()
-    assert result.a.values == (1, 1, 2, 2, 2, 1, 1)
-    assert result.b.values == (1, 1, 1, 1, 1)
+    assert result["a"] == [1, 1, 2, 2, 2, 1, 1]
+    assert result["b"] == [1, 1, 1, 1, 1]
 
 
 def test_derive_case2_betti_invariants():
     result = derive_case2_betti()
-    assert result.a.is_palindromic() and result.b.is_palindromic()
-    assert result.a.is_positive() and result.b.is_positive()
-    assert difference_relation(result.a, result.b, 9, 6, 4)
+    aseq, bseq = BettiSeq(result["a"]), BettiSeq(result["b"])
+    assert aseq.is_palindromic() and bseq.is_palindromic()
+    assert aseq.is_positive() and bseq.is_positive()
+    assert difference_relation(aseq, bseq, 9, 6, 4)
     # Hard Lefschetz monotonicity over the first half
-    for i in range(result.a.dim // 2):
-        assert result.a.at(i) <= result.a.at(i + 1)
+    for i in range(aseq.dim // 2):
+        assert aseq.at(i) <= aseq.at(i + 1)
 
 
 def test_derive_case2_betti_step_log():
     result = derive_case2_betti()
-    ids = [step_id for step_id, _ in result.steps]
+    ids = [step_id for step_id, _ in result["derivation"]]
     assert ids == [
         "connected-top",
         "barth-larsen",
@@ -148,5 +149,5 @@ def test_derive_case2_betti_step_log():
         "difference-i2",
         "replay-invariants",
     ]
-    axioms = [detail for _, detail in result.steps if "AXIOM" in detail]
+    axioms = [detail for _, detail in result["derivation"] if "AXIOM" in detail]
     assert len(axioms) == 2

@@ -393,11 +393,11 @@ def test_exclusion_soundness():
 
 def test_exclude_case2_witness():
     witness = exclude_case2()
-    assert witness.alpha == 1
-    assert witness.beta_candidates == frozenset({7, 17, 119})
-    assert witness.d2_bound == 32
-    assert witness.contradiction == "49 > 31"
-    ids = [step_id for step_id, _ in witness.steps]
+    assert witness["alpha"] == 1
+    assert witness["beta_candidates"] == [7, 17, 119]
+    assert witness["d2_bound"] == "32"
+    assert witness["contradiction"] == "49 > 31"
+    ids = [step_id for step_id, _ in witness["chain"]]
     assert ids == [
         "solve-monomials",
         "modular-elimination",
@@ -409,17 +409,17 @@ def test_exclude_case2_witness():
 
 def test_exclude_case2_solved_values():
     witness = exclude_case2()
-    detail = dict(witness.steps)["solve-monomials"]
+    detail = dict(witness["chain"])["solve-monomials"]
     assert "-37 - d1 + 12*d2" in detail
     assert "-399 - 14*d1 + 84*d2" in detail
 
 
 def test_verify_main_theorem_default():
     report = verify_main_theorem(200)
-    assert report.conclusion == "quadro-cubic unique"
-    assert [s.as_tuple() for s in report.survivors] == [CASE1]
-    assert [s.status for s in report.steps] == ["pass"] * len(report.steps)
-    assert [s.id for s in report.steps] == [
+    assert report["conclusion"] == "quadro-cubic unique"
+    assert report["survivors"] == [list(CASE1)]
+    assert [s["status"] for s in report["steps"]] == ["pass"] * len(report["steps"])
+    assert [s["id"] for s in report["steps"]] == [
         "lattice-basis-change",
         "a1-inequality-range",
         "a1-monotonicity-probe",
@@ -432,16 +432,16 @@ def test_verify_main_theorem_default():
 
 def test_verify_records_two_pre_exclusion_tuples():
     report = verify_main_theorem(200)
-    step = next(s for s in report.steps if s.id == "theorem-2case")
-    assert step.witness["survivors"] == [CASE1, CASE2]
-    assert step.witness["extras"] == []
+    witness = next(s["witness"] for s in report["steps"] if s["id"] == "theorem-2case")
+    assert witness["survivors"] == [CASE1, CASE2]
+    assert witness["extras"] == []
     # the chain rests on no imported fact but link 1's gate
-    assert step.witness["imported_facts"] == ["cohomology-gate"]
+    assert witness["imported_facts"] == ["cohomology-gate"]
 
 
 def test_verify_minimal_range():
     report = verify_main_theorem(9, ineq_max=1000)
-    assert report.conclusion == "quadro-cubic unique"
+    assert report["conclusion"] == "quadro-cubic unique"
     with pytest.raises(ValueError):
         verify_main_theorem(8)
 
@@ -453,24 +453,24 @@ def test_verify_deterministic():
 
 
 def test_verify_scope_stated_in_report():
-    report = verify_main_theorem(30, ineq_max=3000)
-    ineq_step = next(s for s in report.steps if s.id == "a1-inequality-range")
-    assert ineq_step.witness["range"] == [19, 100000]
-    assert ineq_step.status == "pass"
-    assert ineq_step.witness["holds_above_18"] == []
+    steps = {s["id"]: s for s in verify_main_theorem(30, ineq_max=3000)["steps"]}
+    ineq_step = steps["a1-inequality-range"]
+    assert ineq_step["witness"]["range"] == [19, 100000]
+    assert ineq_step["status"] == "pass"
+    assert ineq_step["witness"]["holds_above_18"] == []
     # the paper's 4..18 claim fails at 15 and 16; the report records it
-    assert ineq_step.witness["low_range"] == [4, 18]
-    assert ineq_step.witness["fails_in_low_range"] == [15, 16]
-    assert ineq_step.witness["verdict_uses_low_range"] is False
-    probe_step = next(s for s in report.steps if s.id == "a1-monotonicity-probe")
-    assert probe_step.status == "pass"
-    assert probe_step.witness == {"stride": 4, "range": [19, 100000], "violations": []}
-    wide = {s.id: s.witness for s in verify_main_theorem(9, ineq_max=200000).steps}
+    assert ineq_step["witness"]["low_range"] == [4, 18]
+    assert ineq_step["witness"]["fails_in_low_range"] == [15, 16]
+    assert ineq_step["witness"]["verdict_uses_low_range"] is False
+    probe_step = steps["a1-monotonicity-probe"]
+    assert probe_step["status"] == "pass"
+    assert probe_step["witness"] == {"stride": 4, "range": [19, 100000], "violations": []}
+    wide = {s["id"]: s["witness"] for s in verify_main_theorem(9, ineq_max=200000)["steps"]}
     assert wide["a1-inequality-range"]["range"] == [19, 200000]
     assert wide["a1-monotonicity-probe"]["range"] == [19, 200000]
-    scan_step = next(s for s in report.steps if s.id == "theorem-2case")
-    assert scan_step.witness["n_max"] == 30
-    assert scan_step.witness["coverage"] == {
+    scan_witness = steps["theorem-2case"]["witness"]
+    assert scan_witness["n_max"] == 30
+    assert scan_witness["coverage"] == {
         "a1": "all n, by the closed-form lemma", "a_ge_2": "all n, by the size lemma",
         "a_ge_2_base": [4, 37]}
 
@@ -495,7 +495,7 @@ def test_verify_settles_the_inequality_with_a_fixed_call_budget(monkeypatch):
     for name in names:
         record(name)
     report = verify_main_theorem(9, ineq_max=10**6)
-    assert report.conclusion == "quadro-cubic unique"
+    assert report["conclusion"] == "quadro-cubic unique"
     ineq = [n for name, n in calls if name == names[0]]
     probe = [n for name, n in calls if name == names[1]]
     assert len(ineq) <= 19 and sorted(ineq) == list(range(4, 23))

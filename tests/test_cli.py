@@ -11,6 +11,7 @@ import pytest
 import quadrocubic
 from quadrocubic import classify
 from quadrocubic.cli import run_cli
+from quadrocubic.parser import MAX_NESTING
 
 
 def test_eval_first_system_expression(capsys):
@@ -139,6 +140,19 @@ def test_package_import_leaves_out_the_process_pool():
     assert proc.stdout == "False\n"
 
 
+def test_package_import_leaves_out_dataclasses():
+    # the records are hand-written classes; `dataclasses` would also load
+    # inspect, ast, dis and tokenize at every start
+    src = str(Path(quadrocubic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quadrocubic.cli; "
+         "print('dataclasses' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.stdout == "False\n"
+
+
 def test_verify_large_ineq_max_runs_in_bounded_time():
     # the inequality above 18 is settled by a lemma, so the stated range
     # costs nothing; evaluating it value by value would take days
@@ -181,6 +195,33 @@ def test_eval_product_above_n_is_rejected_before_expansion(expr, degree):
     assert proc.stdout == ""
     assert proc.stderr == (
         f"error: expected homogeneous degree 9, found a product of degree {degree}\n")
+
+
+@pytest.mark.parametrize("depth", [300, 5000])
+def test_eval_nesting_past_the_bound_is_usage_error(depth, capsys):
+    expr = "(" * depth + "H^3" + ")" * depth
+    assert run_cli(["eval", "--n", "3", "--m", "1", "--deg", "1", expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    column = MAX_NESTING + 1
+    assert captured.err == (f"error: column {column}: expected at most {MAX_NESTING} "
+                            f"nested groups, found '(' at depth {column}\n")
+
+
+def test_eval_at_the_nesting_bound(capsys):
+    expr = "(" * MAX_NESTING + "H^3" + ")" * MAX_NESTING
+    assert run_cli(["eval", "--n", "3", "--m", "1", "--deg", "1", expr]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+@pytest.mark.parametrize("n, expr, value", [
+    (3, " + ".join(["H^3"] * 1500), "1500"),
+    (1500, "*".join(["H"] * 1500), "1"),
+], ids=["sum", "product"])
+def test_eval_long_sum_or_product(n, expr, value, capsys):
+    # the parser nests both to the left, one level per term or factor
+    assert run_cli(["eval", "--n", str(n), "--m", "1", "--deg", "1", expr]) == 0
+    assert capsys.readouterr().out == value + "\n"
 
 
 def test_eval_overlong_literal_is_usage_error(capsys, int_str_limit):

@@ -105,6 +105,25 @@ def test_pow_negative_exponent_rejected():
         Pow(Gen("H"), -1)
 
 
+def test_nodes_are_equal_only_within_one_type():
+    assert IntLit(1) != Group(IntLit(1))
+    assert Add(Gen("H"), Gen("E")) != Sub(Gen("H"), Gen("E"))
+    assert Gen("H") != Sym("H")
+    assert Mul(IntLit(2), Gen("H")) == Mul(IntLit(2), Gen("H"))
+    assert hash(parse_expr("(2H-E)^9")) == hash(parse_expr("(2*H - E)^9"))
+    assert len({IntLit(1), IntLit(1), Group(IntLit(1)), Gen("H"), Gen("H")}) == 3
+
+
+def test_node_fields_cannot_be_assigned():
+    node = Pow(Gen("H"), 3)
+    for name, value in (("exponent", 4), ("base", Gen("E")), ("other", 1)):
+        with pytest.raises(AttributeError):
+            setattr(node, name, value)
+    with pytest.raises(AttributeError):
+        del node.exponent
+    assert node == Pow(Gen("H"), 3)
+
+
 def test_print_specific_forms():
     assert print_expr(parse_expr("(2H-E)^9")) == "(2*H - E)^9"
     assert print_expr(parse_expr("H^3 * E^6")) == "H^3*E^6"
