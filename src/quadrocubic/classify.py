@@ -77,15 +77,14 @@ def a1_inequality_holds(n: int) -> bool:
     _a1_rhs(n)/(n+1)^2 is above 1 there. Every n >= 19 is a base value
     plus a multiple of 4, and along each such stride the ratio strictly
     grows (the lemma of a1_ratio_stride_increases, valid from n = 9).
-    So the ratio stays above 1 and the inequality fails. verify_main_theorem
-    evaluates both functions on the base, and this one also on the low
-    range 4..18, which the lemma does not cover.
+    So the ratio stays above 1 and the inequality fails. The right side is
+    link 2's left side at a = 2 and e1 = ceil((n-2)/4), below which link
+    1's gate is on, so the lemma also stops the a >= 2 scan at n = 18
+    (see scan.visits). verify_main_theorem evaluates both functions on
+    the base, and this one also on the low range 4..18, which the lemma
+    does not cover.
     """
-    lhs = (n + 1) ** 2
-    e = (n + 1) // 4  # ceil((n-2)/4)
-    if e >= lhs.bit_length():
-        return False  # 2**e alone already reaches lhs
-    return lhs > _a1_rhs(n)
+    return (n + 1) ** 2 > _a1_rhs(n)
 
 
 def a1_ratio_stride_increases(n: int) -> bool:
@@ -317,15 +316,17 @@ def verify_main_theorem(n_max: int = 200, ineq_max: int = 100000, workers: int =
     "steps", each a dict of "id", "status" and "witness", the
     "survivors" as lists, and the "conclusion".
 
-    The verdict rests on three lemmas proved for every n: the a = 1 and
+    The verdict rests on lemmas proved for every n: the a = 1 and
     a >= 2 branches of the scan (docstring of scan.visits) and the failure
     of the multiplicity-one inequality above n = 18 (a1_inequality_holds,
-    a1_ratio_stride_increases). Only their finite bases are evaluated: the
-    scan always covers 4..BASE_N_MAX, the inequality 19..22. n_max and
-    ineq_max only set the ranges the report states.
+    a1_ratio_stride_increases), which cuts the a >= 2 branch there. Only
+    their finite bases are evaluated: the scan always covers
+    4..BASE_N_MAX, the inequality 19..22. n_max and ineq_max only set the
+    ranges the report states.
     """
     if n_max < 9:
-        raise ValueError(f"need n_max >= 9 to cover both cases, got {n_max}")
+        raise ValueError(f"need n_max >= 9: n_max is the stated range, and it must "
+                         f"reach the second case at n = 9; got {n_max}")
     steps: list[dict] = []
 
     def add(step_id: str, ok: bool, witness: dict):
@@ -336,13 +337,13 @@ def verify_main_theorem(n_max: int = 200, ineq_max: int = 100000, workers: int =
     add("lattice-basis-change", lattice_witness["failure"] is None, lattice_witness)
 
     # by the lemma of a1_inequality_holds, the base 19..22 settles every
-    # n >= 19, so the stated range costs nothing
+    # n >= 19, so the stated range costs nothing; the scan stops at 18 on it
     ineq_hi = max(ineq_max, 10**5, n_max)
     base = range(19, 23)
     holdouts = [n for n in base if a1_inequality_holds(n)]
     # The paper states the inequality on all of 4..18; exact evaluation
-    # fails at 15 and 16. Recorded, not gated: the scan bounds a directly
-    # and never calls a1_inequality_holds, so no verdict step rests on it.
+    # fails at 15 and 16. Recorded, not gated: the scan covers 4..18
+    # directly, so no verdict step rests on the low range.
     low_fails = [n for n in range(4, 19) if not a1_inequality_holds(n)]
     add(
         "a1-inequality-range",
@@ -370,7 +371,7 @@ def verify_main_theorem(n_max: int = 200, ineq_max: int = 100000, workers: int =
          # the one imported fact the constraint chain rests on
          "imported_facts": ["cohomology-gate"],
          "coverage": {"a1": "all n, by the closed-form lemma",
-                      "a_ge_2": "all n, by the size lemma",
+                      "a_ge_2": "all n, by the gate lemma and the inequality above n = 18",
                       "a_ge_2_base": [4, BASE_N_MAX]}},
     )
 

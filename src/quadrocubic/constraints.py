@@ -2,12 +2,12 @@
 
 Each predicate is side-effect-free, returns its verdict as a bool, and
 mirrors one derived relation: the bound d >= 2, divisibility of cd-1,
-the size estimate, and the degree bound on the smaller center. The chain
-keeps only independent links; the docstring of `chain` proves that every
-clause it dropped (the ordering c > d, the canonical-class identities,
-the congruences on the center dimensions, the estimate's second
-inequality, positivity and divisibility) follows from the links it keeps
-and the domain 1 <= m2 < m1 <= n-2.
+and the degree bound on the smaller center. The chain keeps only
+independent links; the docstring of `chain` proves that every clause it
+dropped (the ordering c > d, the canonical-class identities, the
+congruences on the center dimensions, the size estimate with its
+positivity and divisibility, and the bound on a) follows from the links
+it keeps and the domain 1 <= m2 < m1 <= n-2.
 
 One link rests on an imported fact rather than a derivation: the
 cohomology gate, from the forced low-degree Betti numbers of the
@@ -48,15 +48,6 @@ def check_eh_divisibility(n: int, a: int, m2: int, cd_minus_1: int) -> bool:
     return cd_minus_1 % a ** (n - m2) == 0
 
 
-def check_estimate(n: int, a: int, m1: int, m2: int) -> bool:
-    """The size inequality a^(e2-1)*e2*e1 < (n+1)^2 bounding a. The
-    estimate's second inequality, a^(e2-1)*e2 >= a^e1*(n-m1), follows from
-    the domain m2 < m1 (see `chain`)."""
-    e1 = n - m1 - 1
-    e2 = n - m2 - 1  # e2 >= 2 since m2 <= n - 3
-    return (n + 1) ** 2 > a ** (e2 - 1) * e2 * e1
-
-
 def check_degree_bound(d2: int, d: int, a: int, n: int, m2: int) -> bool:
     """deg of the smaller center is bounded by (d/a)^(n-m2), strictly."""
     if d2 <= 0 or d <= 0 or a <= 0:
@@ -85,11 +76,11 @@ def chain(n: int, a: int, c: int, d: int, m1: int, m2: int) -> Iterator[tuple[st
       4. integrality of c = (a*N-e2)/e1 and d = (a*N-e1)/e2 (the caller),
       5. katz-consistency: d >= 2,
       6. (deleted: the congruences on the center dimensions),
-      7. estimate: a^(e2-1)*e2*e1 < N^2,
+      7. the size estimate a^(e2-1)*e2*e1 < N^2, implied by links 5 and 8,
       8. eh-divisibility: a^(n-m2) | cd-1.
-    The pairs come in ConfigTuple.provenance's order: 5, 8, 7, 1.
+    The pairs come in ConfigTuple.provenance's order: 5, 8, 1.
 
-    Every clause dropped from links 2 and 5-7 is implied. Link 4 gives
+    Every clause dropped from links 2 and 5-8 is implied. Link 4 gives
     c*e1 + e2 = a*N and d*e2 + e1 = a*N. Then:
     - c > d (once in link 5): subtracting, (c-1)*e1 = (d-1)*e2, and
       with d-1 >= 1 and e2 > e1 >= 1 this is > (d-1)*e1, so c-1 > d-1.
@@ -104,14 +95,16 @@ def chain(n: int, a: int, c: int, d: int, m1: int, m2: int) -> Iterator[tuple[st
     - Congruences (link 6): m1+2 = N-e1 and m1-m2 = e2-e1, so
       m1-m2 - a*(m1+2) = e2-e1 - a*N + a*e1 = (a-1-c)*e1 = 0 (mod e1);
       m2-m1 - a*(m2+2) = (a-1-d)*e2 = 0 (mod e2) the same way.
-    - Estimate (once in link 7): its numerator is
+    - Link 7 and the estimate's other clauses: its numerator is
       num = a*N^2 - N*(e1+e2) = N*(a*N - e1 - e2), and by the first
       identity (cd-1)*e1*e2 = a*N*(d-1)*e2 = a*N*(a*N - e1 - e2) = a*num,
       which is `cd_minus_one`. So e1*e2*a^e2 | num iff a^(e2+1) | cd-1,
       which is link 8 (e2+1 = n-m2), and num > 0 because cd > 1 when
-      c > d >= 2 (the first step).
+      c > d >= 2 (the first step). As a*N - e1 - e2 < a*N, the identity
+      also gives cd-1 < a^2*N^2/(e1*e2). Link 8 makes the positive cd-1
+      a multiple of a^(e2+1), so a^(e2+1) <= cd-1 < a^2*N^2/(e1*e2),
+      that is a^(e2-1)*e2*e1 < N^2, which is link 7.
     """
     yield "katz-consistency", check_katz_consistency(d)
     yield "eh-divisibility", check_eh_divisibility(n, a, m2, c * d - 1)
-    yield "estimate", check_estimate(n, a, m1, m2)
     yield "cohomology-gate", not (check_betti_gate(n, m1) and m2 > n - m1 - 2)

@@ -159,7 +159,7 @@ def test_enumerate_full_range():
     assert [s.as_tuple() for s in survivors] == [CASE1, CASE2]
     for s in survivors:
         assert "katz-consistency" in s.provenance
-        assert "estimate" in s.provenance
+        assert "eh-divisibility" in s.provenance
 
 
 def test_enumerate_sorted_by_n_a_m1():
@@ -201,21 +201,21 @@ def _serial_pool(monkeypatch):
 
 def test_pool_processes_bounded_by_chunks_and_cores(monkeypatch):
     # 100000 workers must start no more processes than there are chunks of
-    # the base 4..37 or cores, and none is started here
+    # the base 4..BASE_N_MAX or cores, and none is started here
     requested, _ = _serial_pool(monkeypatch)
     survivors = enumerate_candidates(200, workers=100000)
     assert [s.as_tuple() for s in survivors] == [CASE1, CASE2]
-    assert requested == [min(34, os.cpu_count() or 1)]
+    assert requested == [min(BASE_N_MAX - 3, os.cpu_count() or 1)]
 
 
 def test_enumerate_huge_range_and_workers_is_bounded(monkeypatch):
-    # only the base 4..37 is split, whatever n_max: 34 one-n tasks, where
-    # splitting 4..10^12 into 10^9 chunks would build about 10^9 of them
+    # only the base 4..BASE_N_MAX is split, whatever n_max: one task per n,
+    # where splitting 4..10^12 into 10^9 chunks would build about 10^9 of them
     requested, tasks = _serial_pool(monkeypatch)
     survivors = enumerate_candidates(10**12, workers=10**9)
     assert [s.as_tuple() for s in survivors] == [CASE1, CASE2]
     assert tasks == [(n, n) for n in range(4, BASE_N_MAX + 1)]
-    assert requested == [min(34, os.cpu_count() or 1)]
+    assert requested == [min(BASE_N_MAX - 3, os.cpu_count() or 1)]
 
 
 # implied_clauses: whether the oracle also runs the clauses the chain
@@ -308,13 +308,17 @@ def test_named_predicates_agree_with_naive_chain(implied_clauses):
 
 
 def test_visits_settles_large_n_without_a_power(monkeypatch):
-    # above n = 37 the lemmas in scan.visits leave no tuple, so visits
-    # yields nothing there and does no work: not even link 1's gate runs
-    def no_gate(n, m1):
-        raise AssertionError(f"gate evaluated at n={n}, m1={m1}")
+    # above BASE_N_MAX the lemmas in scan.visits leave no tuple, so visits
+    # yields nothing there and does no work: it looks up no n in the a = 1
+    # lemma, the first thing it does for each n of the base
+    class Refuse(dict):
+        def __contains__(self, n):
+            raise AssertionError(f"visits looked at n={n}")
 
-    monkeypatch.setattr(scan, "check_betti_gate", no_gate)
+    monkeypatch.setattr(scan, "_A1_LEMMA", Refuse())
     assert list(visits(BASE_N_MAX + 1, 10**12)) == []
+    with pytest.raises(AssertionError, match="n=4"):
+        list(visits(4, 10**12))
 
 
 def test_visits_work_is_pinned():
@@ -327,21 +331,11 @@ def test_visits_work_is_pinned():
     assert max(n for n, *_ in above_one) == 17
 
 
-def test_a_ge_2_lemma_threshold_is_exact():
-    # the lemma in scan.visits needs n >= 4*bit_length((n+1)^2) - 6: it
-    # fails at n = 37 and holds from n = 38 on
-    def below(n):
-        return n < 4 * ((n + 1) ** 2).bit_length() - 6
-
-    assert BASE_N_MAX == 37 and below(37)
-    assert not any(below(n) for n in range(38, 10**5 + 1))
-
-
-def test_a_ge_2_lemma_matches_naive_loop():
-    # no tuple with a >= 2 and 38 <= n <= 200 passes links 1 and 2 and
-    # link 7, with no bound of scan.visits used
+def _a_ge_2_passing(n_lo, n_hi):
+    """Every (n, m1, a, m2) with a >= 2 that passes links 1, 2 and 7, from
+    the naive loop with no bound of scan.visits used."""
     passing = []
-    for n in range(38, 201):
+    for n in range(n_lo, n_hi + 1):
         n1sq = (n + 1) ** 2
         for m1 in range(2, n - 1):
             e1 = n - m1 - 1
@@ -355,22 +349,39 @@ def test_a_ge_2_lemma_matches_naive_loop():
                     if _naive_pow_capped(a, e2 - 1, n1sq) * e2 * e1 < n1sq:
                         passing.append((n, m1, a, m2))
                     a += 1
-    assert passing == []
+    return passing
+
+
+def test_a_ge_2_lemma_threshold_is_exact(monkeypatch):
+    # the a >= 2 lemmas in scan.visits leave no tuple above n = 18: with
+    # the cut lifted, the loops find none on 19..5000. n = 17 still has a
+    # tuple with a >= 2 that passes links 1, 2 and 7, so 18 is the exact cut
+    assert BASE_N_MAX == 18
+    monkeypatch.setattr(scan, "BASE_N_MAX", 5000)
+    assert list(visits(19, 5000)) == []
+    assert _a_ge_2_passing(17, 17) and not _a_ge_2_passing(18, 18)
+
+
+def test_a_ge_2_lemma_matches_naive_loop():
+    # no tuple with a >= 2 and 19 <= n <= 200 passes links 1 and 2 and
+    # link 7, with no bound of scan.visits used
+    assert _a_ge_2_passing(19, 200) == []
 
 
 def test_scan_decides_with_the_named_predicates(monkeypatch):
     # scan_chunk keeps a tuple only when constraints.chain passes it, and
     # _attribute re-checks with the same chain: turn one predicate off and
     # both see it
-    monkeypatch.setattr(constraints, "check_estimate", lambda *args: False)
+    monkeypatch.setattr(constraints, "check_eh_divisibility", lambda *args: False)
     assert scan_chunk(4, 60) == []
-    with pytest.raises(RuntimeError, match="fails predicate estimate"):
+    with pytest.raises(RuntimeError, match="fails predicate eh-divisibility"):
         _attribute(CASE1)
 
 
 def test_attribute_rejects_tuples_outside_the_domain():
-    # m1 = m2 passes the reduced chain, whose links 5 and 7 take
-    # m2 < m1 as their premise; the re-check must reject it on the domain
+    # m1 = m2 passes the reduced chain, whose proofs of the clauses it
+    # drops take m2 < m1 as their premise; the re-check must reject it on
+    # the domain
     raw = (5, 1, 2, 2, 2, 2)
     assert all(ok for _, ok in constraints.chain(*raw))
     with pytest.raises(RuntimeError, match="outside the domain 1 <= m2 < m1 <= n-2"):
@@ -471,8 +482,9 @@ def test_verify_scope_stated_in_report():
     scan_witness = steps["theorem-2case"]["witness"]
     assert scan_witness["n_max"] == 30
     assert scan_witness["coverage"] == {
-        "a1": "all n, by the closed-form lemma", "a_ge_2": "all n, by the size lemma",
-        "a_ge_2_base": [4, 37]}
+        "a1": "all n, by the closed-form lemma",
+        "a_ge_2": "all n, by the gate lemma and the inequality above n = 18",
+        "a_ge_2_base": [4, 18]}
 
 
 def test_verify_settles_the_inequality_with_a_fixed_call_budget(monkeypatch):

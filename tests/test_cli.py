@@ -100,7 +100,7 @@ def test_eval_power_above_n_is_rejected_at_once(expr, message):
 
 
 def test_enumerate_huge_n_max_runs_in_bounded_time():
-    # the lemmas of scan.visits leave only the base 4..37 to scan, so the
+    # the lemmas of scan.visits leave only the base 4..18 to scan, so the
     # stated range costs nothing; a scan of every n would never end
     src = str(Path(quadrocubic.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -115,7 +115,7 @@ def test_enumerate_huge_n_max_runs_in_bounded_time():
 
 
 def test_verify_huge_n_max_with_pool_runs_in_bounded_time():
-    # verify scans the base 4..37 whatever --n-max states, and the pool
+    # verify scans the base 4..18 whatever --n-max states, and the pool
     # splits only the base
     src = str(Path(quadrocubic.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -272,6 +272,10 @@ def test_range_below_floor_is_usage_error(argv, message, capsys):
     (["verify", "--n-max", "x"], "argument --n-max: invalid int value: 'x'"),
     (["eval", "--m", "2", "--deg", "2", "H^4"], "the following arguments are required: --n"),
     ([], "the following arguments are required: command"),
+    # the scan's base does not depend on --n-max, but the stated range
+    # must still reach the second case
+    (["verify", "--n-max", "8"], "need n_max >= 9: n_max is the stated range, and it "
+                                 "must reach the second case at n = 9; got 8"),
 ])
 def test_bad_option_is_one_line_usage_error(argv, message, capsys):
     assert run_cli(argv) == 2
@@ -360,8 +364,8 @@ def test_verify_text_output(capsys):
     assert "[pass] theorem-2case" in out
     assert "conclusion: quadro-cubic unique" in out
     assert ("[pass] theorem-2case\n"
-            "    a = 1: all n, by the closed-form lemma; a >= 2: all n, by the size lemma, "
-            "base n = 4..37 scanned\n") in out
+            "    a = 1: all n, by the closed-form lemma; a >= 2: all n, by the gate lemma "
+            "and the inequality above n = 18, base n = 4..18 scanned\n") in out
     assert ("[pass] a1-inequality-range\n"
             "    range 19..100000, holds at: none; low range 4..18, fails at: 15, 16 "
             "(the paper states it holds on all of 4..18)\n") in out

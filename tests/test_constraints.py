@@ -10,7 +10,6 @@ from quadrocubic.constraints import (
     chain,
     check_degree_bound,
     check_eh_divisibility,
-    check_estimate,
     check_katz_consistency,
     katz_cd,
 )
@@ -45,22 +44,6 @@ def test_eh_divisibility():
     assert check_eh_divisibility(6, 2, 1, 32)
     # the exponent is n - m2 = 5: 2^4 divides 16, 2^5 does not
     assert not check_eh_divisibility(9, 2, 4, 16)
-
-
-def test_estimate_examples():
-    assert check_estimate(4, 1, 2, 1)
-    assert check_estimate(9, 1, 6, 4)
-    # a^(e2-1)*e2*e1 = 54 reaches N^2 = 36; the bound is strict: 64 at
-    # (7, 32, 5, 4) meets N^2 = 64, and 62 at (7, 31, 5, 4) is below it
-    assert not check_estimate(5, 3, 2, 1)
-    assert not check_estimate(7, 32, 5, 4)
-    assert check_estimate(7, 31, 5, 4)
-    # the clauses `chain` proves implied are not checked here: the
-    # numerator is 0 at (6, 1, 2, 1), 35 at (4, 2, 2, 1), which 8 does
-    # not divide, and 60 at (4, 3, 2, 1), which 2*3^2 does not divide
-    assert check_estimate(6, 1, 2, 1)
-    assert check_estimate(4, 2, 2, 1)
-    assert check_estimate(4, 3, 2, 1)
 
 
 def test_degree_bound():
@@ -141,12 +124,12 @@ def test_dropped_clauses_are_implied():
 
 
 def test_domain_implies_dropped_clauses():
-    # the first two steps of the proof in `chain`: on the domain
-    # 1 <= m2 < m1 <= n-2, every integral (c, d) with d >= 2 has c > d and
-    # meets link 7's second inequality. Checked on the whole domain up to
-    # n = 80 and every a <= 8, with neither link 1's gate nor link 2's
-    # bound on a, which the naive loop applies
-    met = 0
+    # the proof in `chain`: on the domain 1 <= m2 < m1 <= n-2, every
+    # integral (c, d) with d >= 2 has c > d and meets link 7's second
+    # inequality, and if it also passes link 8 it passes link 7. Checked on
+    # the whole domain up to n = 80 and every a <= 8, with neither link 1's
+    # gate nor link 2's bound on a, which the naive loop applies
+    met = link8 = 0
     for n in range(4, 81):
         for m1 in range(2, n - 1):
             e1 = n - m1 - 1
@@ -159,11 +142,14 @@ def test_domain_implies_dropped_clauses():
                         continue
                     assert c > d, (n, a, m1, m2)
                     assert a ** (e2 - 1) * e2 >= a**e1 * (e1 + 1), (n, a, m1, m2)
+                    if check_eh_divisibility(n, a, m2, c * d - 1):
+                        assert a ** (e2 - 1) * e2 * e1 < (n + 1) ** 2, (n, a, m1, m2)
+                        link8 += 1
                     met += 1
-    assert met == 5454
+    assert met == 5454 and link8 == 573
 
 
-CHAIN_IDS = ["katz-consistency", "eh-divisibility", "estimate", "cohomology-gate"]
+CHAIN_IDS = ["katz-consistency", "eh-divisibility", "cohomology-gate"]
 
 
 def test_chain_ids_and_order():
