@@ -7,15 +7,15 @@ the two-case outcome, excludes the nine-dimensional case twice (symbolic
 modular chain and brute degree scan), and assembles the final verdict.
 
 The tuple scan runs on the pure-Python kernel in scan.py, whose lemmas
-leave only the base n <= scan.BASE_N_MAX to scan. The case-2
-system is the paper's four products (2H - E)^(9-k) (5H - 3E)^k, expanded
-by the same `evaluate.eval_expr` that the `eval` command runs.
+leave only the base n <= scan.BASE_N_MAX to scan; it runs in the calling
+process, one chunk of n after another. The case-2 system is the paper's
+four products (2H - E)^(9-k) (5H - 3E)^k, expanded by the same
+`evaluate.eval_expr` that the `eval` command runs.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 from .betti import derive_case2_betti
@@ -35,13 +35,9 @@ def scan_backend() -> str:
     return "python"
 
 
-# The serial scan and the pool task both call the kernel through this
-# module-level name, so a caller can wrap it in one place (perfbench does).
+# Every chunk of the scan calls the kernel through this module-level name,
+# so a caller can wrap it in one place (perfbench does).
 _scan_range = scan_chunk
-
-
-def _scan_task(args):
-    return _scan_range(*args)
 
 
 class ConfigTuple:
@@ -132,23 +128,15 @@ def enumerate_candidates(n_max: int, workers: int = 1) -> list[ConfigTuple]:
     """All tuples with 4 <= n <= n_max passing the full constraint chain,
     sorted by (n, a, m1). The lemmas of scan.visits leave no survivor
     above BASE_N_MAX, so only 4..min(n_max, BASE_N_MAX) is scanned.
-    Splitting that range across workers and merging yields the same list
-    as a sequential run."""
+    That range is split into at most `workers` chunks of equal width,
+    scanned one after another in this process; any split yields the same
+    list, and no split makes more chunks than the range has values of n."""
     if n_max < 4:
         raise ValueError(f"need n_max >= 4, got {n_max}")
     n_hi = min(n_max, BASE_N_MAX)
-    if workers <= 1:
-        raw = _scan_range(4, n_hi)
-    else:
-        # imported here: only the pool needs it, and it costs each start 20 ms
-        from concurrent.futures import ProcessPoolExecutor
-        chunk = max(1, (n_hi - 3 + workers - 1) // workers)
-        tasks = [(lo, min(lo + chunk - 1, n_hi)) for lo in range(4, n_hi + 1, chunk)]
-        # the executor starts all of its processes at once, so never ask
-        # for more than there are chunks or cores
-        processes = min(workers, len(tasks), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            raw = [t for part in pool.map(_scan_task, tasks) for t in part]
+    chunk = -(-(n_hi - 3) // max(workers, 1))  # ceiling: at most `workers` chunks
+    raw = [t for lo in range(4, n_hi + 1, chunk)
+           for t in _scan_range(lo, min(lo + chunk - 1, n_hi))]
     raw.sort(key=lambda t: (t[0], t[1], t[4]))
     return [_attribute(t) for t in raw]
 
@@ -188,6 +176,22 @@ def _largest_square_free_part(n: int) -> tuple[int, list[int]]:
     return square, primes
 
 
+def _integral_terms(p) -> list[tuple[int, int, int]]:
+    """p's terms as (i, j, c) for c * d1^i * d2^j with integer c; a
+    non-integral coefficient is an ExclusionFailure, never truncated."""
+    terms = []
+    for (i, j), c in p.terms.items():
+        if c.denominator != 1:
+            raise ExclusionFailure(f"{p} has the non-integral coefficient {c}")
+        terms.append((i, j, c.numerator))
+    return terms
+
+
+def _eval_terms(terms: list[tuple[int, int, int]], d1: int, d2: int) -> int:
+    """The exact value of _integral_terms' output at integers d1, d2."""
+    return sum(c * d1**i * d2**j for i, j, c in terms)
+
+
 def exclude_case2() -> dict:
     """Rule out the tuple (9, 1, 3, 2, 6, 4) by the degree contradiction.
 
@@ -207,7 +211,9 @@ def exclude_case2() -> dict:
 
     Brute path: for every d2 in 2..31 and every factorization
     d2 = alpha^4 * beta^2, no residue of d1 satisfies both
-    alpha^3 * beta^2 | x and alpha^2 * beta | y. Both paths must agree.
+    alpha^3 * beta^2 | x and alpha^2 * beta | y. It evaluates x and y in
+    integers, and fails if either has a non-integral coefficient. Both
+    paths must agree.
     """
     steps: list[tuple[str, str]] = []
     solution = solve_unknowns(_case2_system())
@@ -253,7 +259,9 @@ def exclude_case2() -> dict:
     steps.append(("degree-bound", f"d2 = beta^2 in {violations}, all >= {min(violations)}; "
                                   f"bound is {bound}: {contradiction}"))
 
-    # brute cross-check over every admissible degree below the bound
+    # brute cross-check over every admissible degree below the bound, in
+    # integers: x and y have integral coefficients, checked once here
+    x_terms, y_terms = _integral_terms(x), _integral_terms(y)
     feasible = []
     for d2 in range(2, int(bound)):
         a_ = 1
@@ -266,8 +274,8 @@ def exclude_case2() -> dict:
                     mod_y = a_**2 * beta
                     period = math.lcm(mod_x, mod_y)
                     for d1 in range(period):
-                        xv = int(x.subs(d1=d1, d2=d2))
-                        yv = int(y.subs(d1=d1, d2=d2))
+                        xv = _eval_terms(x_terms, d1, d2)
+                        yv = _eval_terms(y_terms, d1, d2)
                         if xv % mod_x == 0 and yv % mod_y == 0:
                             feasible.append((a_, beta, d2, d1))
                             break

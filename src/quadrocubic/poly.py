@@ -109,22 +109,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def subs(self, d1=None, d2=None):
-        """Evaluate at numeric d1/d2; symbols left unset must not occur."""
-        total = Fraction(0)
-        for (i, j), c in self.terms.items():
-            if i and d1 is None:
-                raise ValueError("d1 occurs but no value was given")
-            if j and d2 is None:
-                raise ValueError("d2 occurs but no value was given")
-            term = c
-            if i:
-                term *= Fraction(d1) ** i
-            if j:
-                term *= Fraction(d2) ** j
-            total += term
-        return total
-
     # -- rendering -------------------------------------------------------
 
     def __str__(self) -> str:

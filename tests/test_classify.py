@@ -1,7 +1,6 @@
 """Tests for the classification pipeline and the case-2 exclusion."""
 
-import concurrent.futures
-import os
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,6 +20,7 @@ from quadrocubic.classify import (
 )
 from quadrocubic import classify, constraints, scan
 from quadrocubic.constraints import check_degree_bound
+from quadrocubic.poly import Poly
 from quadrocubic.scan import BASE_N_MAX, scan_chunk, visits
 
 
@@ -175,47 +175,33 @@ def test_partition_independence():
         assert parallel == sequential
 
 
-def _serial_pool(monkeypatch):
-    """Replace the process pool with a serial stand-in; return the lists
-    of the processes it was asked for and of the tasks it was given."""
-    requested, tasks_seen = [], []
+def _spy_scan_range(monkeypatch):
+    """Record the (lo, hi) chunks enumerate_candidates hands to the kernel."""
+    chunks = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+    def spy(lo, hi):
+        chunks.append((lo, hi))
+        return scan_chunk(lo, hi)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            tasks_seen.extend(tasks)
-            return map(fn, tasks)
-
-    # enumerate_candidates imports the executor when it runs the pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    return requested, tasks_seen
+    monkeypatch.setattr(classify, "_scan_range", spy)
+    return chunks
 
 
-def test_pool_processes_bounded_by_chunks_and_cores(monkeypatch):
-    # 100000 workers must start no more processes than there are chunks of
-    # the base 4..BASE_N_MAX or cores, and none is started here
-    requested, _ = _serial_pool(monkeypatch)
-    survivors = enumerate_candidates(200, workers=100000)
+def test_enumerate_two_workers_scans_two_chunks_in_turn(monkeypatch):
+    # the base 4..BASE_N_MAX is split into equal-width chunks, in order
+    chunks = _spy_scan_range(monkeypatch)
+    survivors = enumerate_candidates(200, workers=2)
     assert [s.as_tuple() for s in survivors] == [CASE1, CASE2]
-    assert requested == [min(BASE_N_MAX - 3, os.cpu_count() or 1)]
+    assert chunks == [(4, 11), (12, 18)]
 
 
 def test_enumerate_huge_range_and_workers_is_bounded(monkeypatch):
-    # only the base 4..BASE_N_MAX is split, whatever n_max: one task per n,
+    # only the base 4..BASE_N_MAX is split, whatever n_max: one chunk per n,
     # where splitting 4..10^12 into 10^9 chunks would build about 10^9 of them
-    requested, tasks = _serial_pool(monkeypatch)
+    chunks = _spy_scan_range(monkeypatch)
     survivors = enumerate_candidates(10**12, workers=10**9)
     assert [s.as_tuple() for s in survivors] == [CASE1, CASE2]
-    assert tasks == [(n, n) for n in range(4, BASE_N_MAX + 1)]
-    assert requested == [min(BASE_N_MAX - 3, os.cpu_count() or 1)]
+    assert chunks == [(n, n) for n in range(4, BASE_N_MAX + 1)]
 
 
 # implied_clauses: whether the oracle also runs the clauses the chain
@@ -423,6 +409,51 @@ def test_exclude_case2_solved_values():
     detail = dict(witness["chain"])["solve-monomials"]
     assert "-37 - d1 + 12*d2" in detail
     assert "-399 - 14*d1 + 84*d2" in detail
+
+
+def test_exclude_case2_refuses_a_non_integral_coefficient(monkeypatch):
+    # a 1/2*d1*d2 term in x leaves the symbolic path (modulo d2) as it is;
+    # the brute path must stop on it, where int() would truncate odd d1*d2
+    solve = classify.solve_unknowns
+
+    def halved(system):
+        solution = solve(system)
+        solution["u6"] = solution["u6"] + Poly({(1, 1): Fraction(1, 2)})
+        return solution
+
+    monkeypatch.setattr(classify, "solve_unknowns", halved)
+    with pytest.raises(classify.ExclusionFailure, match="non-integral"):
+        exclude_case2()
+
+
+def _fraction_value(p, d1, d2):
+    return sum((c * Fraction(d1) ** i * Fraction(d2) ** j for (i, j), c in p.terms.items()),
+               Fraction(0))
+
+
+def test_brute_scan_integers_match_exact_fractions(monkeypatch):
+    # every (d1, d2) the brute grid visits, x then y, evaluated both ways
+    solution = classify.solve_unknowns(classify._case2_system())
+    evaluate, seen = classify._eval_terms, []
+
+    def spy(terms, d1, d2):
+        seen.append((d1, d2, evaluate(terms, d1, d2)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(classify, "_eval_terms", spy)
+    exclude_case2()
+    expected_points = []
+    for d2 in range(2, 32):
+        for alpha in (1, 2):  # alpha^4 <= d2 < 32
+            beta = math.isqrt(d2 // alpha**4)
+            if d2 == alpha**4 * beta**2:
+                period = math.lcm(alpha**3 * beta**2, alpha**2 * beta)
+                expected_points += [(d1, d2) for d1 in range(period)]
+    assert len(seen) == 2 * len(expected_points) == 124
+    for unknown, values in (("u6", seen[::2]), ("u7", seen[1::2])):
+        assert [(d1, d2) for d1, d2, _ in values] == expected_points
+        for d1, d2, value in values:
+            assert value == _fraction_value(solution[unknown], d1, d2)
 
 
 def test_verify_main_theorem_default():

@@ -115,7 +115,7 @@ def test_enumerate_huge_n_max_runs_in_bounded_time():
 
 
 def test_verify_huge_n_max_with_pool_runs_in_bounded_time():
-    # verify scans the base 4..18 whatever --n-max states, and the pool
+    # verify scans the base 4..18 whatever --n-max states, and --threads
     # splits only the base
     src = str(Path(quadrocubic.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -129,7 +129,7 @@ def test_verify_huge_n_max_with_pool_runs_in_bounded_time():
 
 
 def test_package_import_leaves_out_the_process_pool():
-    # only enumerate_candidates' pool branch imports the executor
+    # no module of the package imports an executor
     src = str(Path(quadrocubic.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -138,6 +138,37 @@ def test_package_import_leaves_out_the_process_pool():
         env=env, capture_output=True, text=True, timeout=30,
     )
     assert proc.stdout == "False\n"
+
+
+_THREADS_SCRIPT = """
+import contextlib, io, json, sys
+from quadrocubic.cli import run_cli
+
+def document(threads):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run_cli(["verify", "--json", "--threads", threads]) == 0
+    return json.loads(out.getvalue())
+
+two = document("2")
+loaded = sorted(m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules)
+print(json.dumps({"loaded": loaded, "two": two, "one": document("1")}))
+"""
+
+
+def test_verify_with_threads_starts_no_process():
+    # --threads splits the scan into chunks run in turn: nothing loads a
+    # process or thread pool, and the document is the serial one
+    src = str(Path(quadrocubic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["loaded"] == []
+    assert out["two"]["meta"]["config"].pop("threads") == 2
+    assert out["one"]["meta"]["config"].pop("threads") == 1
+    assert out["two"] == out["one"]
 
 
 def test_package_import_leaves_out_dataclasses():

@@ -60,14 +60,6 @@ def test_hash_consistency():
     assert d[Poly.symbol("d1")] == "a"
 
 
-def test_subs():
-    p = Poly({(1, 0): 1, (0, 1): -2, (0, 0): 5})
-    assert p.subs(d1=3, d2=1) == 6
-    assert Poly.const(4).subs() == 4
-    with pytest.raises(ValueError):
-        p.subs(d1=3)
-
-
 def test_str_ordering():
     # constant first, then ascending degree with d1 before d2
     p = Poly({(0, 1): -2016, (0, 0): 512})

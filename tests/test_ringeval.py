@@ -192,9 +192,11 @@ def test_case2_substitute_back():
 
 def test_case2_numeric_substitution():
     solution = solve_unknowns(_case2_monomial_system())
-    # x = -(37 - 12*d2 + d1) vanishes at d2=4, d1=11
-    assert solution["u6"].subs(d1=11, d2=4) == 0
-    assert solution["u6"].subs(d1=0, d2=0) == -37
+    # x = -(37 - 12*d2 + d1), which vanishes at d2=4, d1=11
+    x = solution["u6"]
+    assert sorted(x.terms) == [(0, 0), (0, 1), (1, 0)]
+    assert (x.coeff((0, 0)), x.coeff((1, 0)), x.coeff((0, 1))) == (-37, -1, 12)
+    assert x.coeff((0, 0)) + 11 * x.coeff((1, 0)) + 4 * x.coeff((0, 1)) == 0
 
 
 def test_solve_inconsistent():
