@@ -21,7 +21,7 @@ from fractions import Fraction
 from .betti import derive_case2_betti
 from .constraints import chain, check_degree_bound, katz_cd
 from .evaluate import eval_expr
-from .lattice import DivisorClass, LatticeParams, solve_basis_change
+from .lattice import LatticeParams, solve_basis_change
 from .parser import parse_expr
 from .ringeval import IntersectionTable, solve_unknowns
 from .scan import BASE_N_MAX, scan_chunk
@@ -211,25 +211,29 @@ def exclude_case2() -> dict:
 
     Brute path: for every d2 in 2..31 and every factorization
     d2 = alpha^4 * beta^2, no residue of d1 satisfies both
-    alpha^3 * beta^2 | x and alpha^2 * beta | y. It evaluates x and y in
-    integers, and fails if either has a non-integral coefficient. Both
-    paths must agree.
+    alpha^3 * beta^2 | x and alpha^2 * beta | y. Both paths must agree.
+
+    Both read x and y in integers, so a non-integral coefficient of
+    either fails before the symbolic path, with the same message for
+    any term.
     """
     steps: list[tuple[str, str]] = []
     solution = solve_unknowns(_case2_system())
     x, y = solution["u6"], solution["u7"]
     steps.append(("solve-monomials", f"x = {x}; y = {y}"))
+    # both paths read x and y in integers: checked once, never truncated
+    x_terms, y_terms = _integral_terms(x), _integral_terms(y)
 
     # reduce x, y mod k with d2 == 0 (mod k): only the constant and the
     # d1-linear coefficient survive; anything else must carry a d2 factor
-    def linear_in_d1_mod_d2(p):
-        for (i, j), _ in p.terms.items():
-            if j == 0 and (i, j) not in ((0, 0), (1, 0)):
-                raise ExclusionFailure(f"{p} is not linear in d1 modulo d2")
-        return int(p.coeff((0, 0))), int(p.coeff((1, 0)))
+    def linear_in_d1_mod_d2(p, terms):
+        low = {i: c for i, j, c in terms if j == 0}
+        if low.keys() - {0, 1}:
+            raise ExclusionFailure(f"{p} is not linear in d1 modulo d2")
+        return low.get(0, 0), low.get(1, 0)
 
-    x0, x1 = linear_in_d1_mod_d2(x)
-    y0, y1 = linear_in_d1_mod_d2(y)
+    x0, x1 = linear_in_d1_mod_d2(x, x_terms)
+    y0, y1 = linear_in_d1_mod_d2(y, y_terms)
     if abs(x1) != 1:
         raise ExclusionFailure("d1-coefficient of x is not a unit; elimination invalid")
     resultant = abs(x1 * y0 - y1 * x0)
@@ -259,9 +263,7 @@ def exclude_case2() -> dict:
     steps.append(("degree-bound", f"d2 = beta^2 in {violations}, all >= {min(violations)}; "
                                   f"bound is {bound}: {contradiction}"))
 
-    # brute cross-check over every admissible degree below the bound, in
-    # integers: x and y have integral coefficients, checked once here
-    x_terms, y_terms = _integral_terms(x), _integral_terms(y)
+    # brute cross-check over every admissible degree below the bound
     feasible = []
     for d2 in range(2, int(bound)):
         a_ = 1
@@ -290,9 +292,14 @@ def exclude_case2() -> dict:
 
 def _check_lattice_symbolics() -> dict:
     """Determinant, round trip, and canonical-class agreement on the two
-    surviving tuples plus a sweep of small valid pairing parameters."""
+    surviving tuples plus a sweep of small valid pairing parameters.
+
+    The round trip runs in integers on the probe 6 * (3/2, -7/3) =
+    (9, -14): the basis change and its inverse are linear, so the probe
+    (3/2, -7/3) comes back unchanged if and only if six times it does."""
     from .lattice import GeometryParams, canonical_class
 
+    h, e = 9, -14
     checked = 0
     for a in range(1, 6):
         for c in range(1, 8):
@@ -303,8 +310,9 @@ def _check_lattice_symbolics() -> dict:
                 bc = solve_basis_change(lp)
                 if bc.determinant() != -1:
                     return {"checked": checked, "failure": f"det != -1 at {(a, c, d)}"}
-                probe = DivisorClass(1, Fraction(3, 2), Fraction(-7, 3))
-                if bc.apply_inverse(bc.apply(probe)) != probe:
+                inv = bc.inverse()
+                h2, e2 = h * bc.m11 + e * bc.m21, h * bc.m12 + e * bc.m22
+                if (h2 * inv.m11 + e2 * inv.m21, h2 * inv.m12 + e2 * inv.m22) != (h, e):
                     return {"checked": checked, "failure": f"round trip at {(a, c, d)}"}
                 checked += 1
     for n, a, c, d, m1, m2 in (CASE1, CASE2):

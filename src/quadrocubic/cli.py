@@ -110,6 +110,8 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "verify" and args.threads < 1:
+            parser.error(f"argument --threads: need K >= 1, got {args.threads}")
     except SystemExit as exc:
         return 2 if exc.code else 0
 

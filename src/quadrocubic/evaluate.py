@@ -101,7 +101,10 @@ def eval_expr(ast: Node, n: int, m: int, deg) -> LinearForm:
     by_e: dict[int, dict[tuple[int, int], int]] = {}
     for (_, e, i, j), coeff in expansion.items():
         by_e.setdefault(e, {})[(i, j)] = coeff
-    result = LinearForm(0)
+    # each entry is a constant or one unknown u_e, so no unknown repeats
+    constant, terms = Poly(), {}
     for e, coeffs in by_e.items():
-        result = result + table.entry(e).scale(Poly(coeffs))
-    return result
+        entry = table.entry(e).scale(Poly(coeffs))
+        constant = constant + entry.constant
+        terms.update(entry.terms)
+    return LinearForm(constant, terms)

@@ -38,13 +38,36 @@ class _Node:
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
+    # __eq__ and __hash__ walk the tree with a stack, not by recursion: the
+    # parser nests a sum or a product one level per term, and a long one
+    # is deeper than the interpreter's recursion limit.
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._fields() == other._fields()
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if type(a) is not type(b):
+                return False
+            for x, y in zip(a._fields(), b._fields()):
+                if isinstance(x, _Node):
+                    pairs.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __hash__(self):
-        return hash((type(self), self._fields()))
+        # each node's type and plain fields, in an order set by the shape
+        items, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            items.append(type(node))
+            for x in node._fields():
+                if isinstance(x, _Node):
+                    stack.append(x)
+                else:
+                    items.append(x)
+        return hash(tuple(items))
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"cannot change {name!r}: {type(self).__name__} is immutable")
@@ -292,10 +315,13 @@ def print_expr(node: Node) -> str:
         return f"({print_expr(node.inner)})"
     if isinstance(node, Pow):
         return f"{print_expr(node.base)}^{node.exponent}"
-    if isinstance(node, Mul):
-        return f"{print_expr(node.left)}*{print_expr(node.right)}"
-    if isinstance(node, Add):
-        return f"{print_expr(node.left)} + {print_expr(node.right)}"
-    if isinstance(node, Sub):
-        return f"{print_expr(node.left)} - {print_expr(node.right)}"
+    if isinstance(node, (Mul, Add, Sub)):
+        # the parser nests a chain to the left, one level per term or
+        # factor, so fold the left spine in a loop, as evaluate._expand does
+        tail = []
+        while isinstance(node, (Mul, Add, Sub)):
+            op = "*" if isinstance(node, Mul) else " + " if isinstance(node, Add) else " - "
+            tail.append(op + print_expr(node.right))
+            node = node.left
+        return print_expr(node) + "".join(reversed(tail))
     raise TypeError(f"not an expression node: {node!r}")

@@ -2,7 +2,9 @@
 
 Everything downstream (intersection tables, linear forms, the symbolic
 linear solve) carries its constants as these polynomials, so divisibility
-and sign arguments stay exact end to end.
+and sign arguments stay exact end to end. A coefficient is stored as an
+int, or as a Fraction only when its value is not integral: the case-2
+system and its solution are integral, and int arithmetic is the cheaper.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ def _monomial_key(exps: Exponents):
 
 
 class Poly:
-    """Polynomial in d1, d2 with Fraction coefficients.
+    """Polynomial in d1, d2 with rational coefficients, each an int, or a
+    Fraction when its value is not integral (Fraction(4, 2) is stored as 2).
 
     Immutable once constructed; zero coefficients are never stored.
     """
@@ -29,10 +32,14 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, int | Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
-                coeff = Fraction(coeff)
+                if type(coeff) is not int:
+                    if type(coeff) is not Fraction:
+                        coeff = Fraction(coeff)
+                    if coeff.denominator == 1:
+                        coeff = coeff.numerator
                 if coeff:
                     i, j = exps
                     if i < 0 or j < 0:
@@ -42,14 +49,14 @@ class Poly:
 
     @classmethod
     def const(cls, value) -> "Poly":
-        return cls({(0, 0): Fraction(value)})
+        return cls({(0, 0): value})
 
     @classmethod
     def symbol(cls, name: str) -> "Poly":
         if name not in SYMBOLS:
             raise ValueError(f"unknown degree symbol {name!r}")
         exps = (1, 0) if name == "d1" else (0, 1)
-        return cls({exps: Fraction(1)})
+        return cls({exps: 1})
 
     # -- predicates ------------------------------------------------------
 
@@ -59,13 +66,13 @@ class Poly:
     def is_constant(self) -> bool:
         return not self.terms or self.terms.keys() == {(0, 0)}
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms.get((0, 0), Fraction(0))
+        return self.terms.get((0, 0), 0)
 
-    def coeff(self, exps: Exponents) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coeff(self, exps: Exponents) -> int | Fraction:
+        return self.terms.get(tuple(exps), 0)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -85,26 +92,29 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
+            terms[e] = terms.get(e, 0) + c
         return Poly(terms)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
+    def __sub__(self, other) -> "Poly":
         other = as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        terms = dict(self.terms)
+        for e, c in other.terms.items():
+            terms[e] = terms.get(e, 0) - c
+        return Poly(terms)
 
     def __mul__(self, other) -> "Poly":
         other = as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, int | Fraction] = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 e = (i1 + i2, j1 + j2)
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
+                terms[e] = terms.get(e, 0) + c1 * c2
         return Poly(terms)
 
     __rmul__ = __mul__

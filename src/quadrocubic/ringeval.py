@@ -7,7 +7,8 @@ and to a named unknown u_i above it. A product of divisor classes,
 expanded by `evaluate.eval_expr` against such a table, is an
 affine-linear form in those unknowns with polynomial constants; square
 systems of such forms, rational in the unknowns' coefficients, are
-solved by elimination with Fraction pivots.
+solved by elimination; every division is a Fraction(a, b), so integral
+entries never turn into floats.
 """
 
 from __future__ import annotations
@@ -162,8 +163,10 @@ def solve_unknowns(
     """Solve a linear system over the unknowns by Gaussian elimination.
 
     Each equation is (form, required value); the value may be an int,
-    Fraction, degree symbol, or Poly. Pivots are Fractions: a coefficient
-    of an unknown that is not a rational raises ValueError naming it.
+    Fraction, degree symbol, or Poly. Pivots are rationals, ints where
+    integral, so every division is a Fraction(a, b): dividing two ints
+    with `/` gives a float. A coefficient of an unknown that is not a
+    rational raises ValueError naming it.
     Pivoting takes the first nonzero entry in the current column, lowest
     row index first, so repeated runs are byte-identical. Raises
     InconsistentSystem with the violated combination, or RankDeficient
@@ -179,7 +182,7 @@ def solve_unknowns(
     # row = rational coefficients of the unknowns, then the Poly right side
     rows: list[list] = []
     for form, required in equations:
-        row: list = [Fraction(0)] * width + [as_poly(required) - form.constant]
+        row: list = [0] * width + [as_poly(required) - form.constant]
         for name, coeff in form.terms.items():
             if not coeff.is_constant():
                 raise ValueError(f"coefficient of {name} is not a rational: {coeff}")
@@ -194,7 +197,7 @@ def solve_unknowns(
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
         for row in rows[r + 1:]:
-            factor = row[col] / rows[r][col]
+            factor = Fraction(row[col], rows[r][col])
             for j in range(col, width + 1):
                 row[j] -= factor * rows[r][j]
         pivot_cols.append(col)
@@ -214,5 +217,5 @@ def solve_unknowns(
         acc = rows[k][width]
         for j in range(k + 1, width):
             acc -= rows[k][j] * solution[order[j]]
-        solution[order[k]] = acc * (1 / rows[k][k])
+        solution[order[k]] = acc * Fraction(1, rows[k][k])
     return {name: solution[name] for name in order}

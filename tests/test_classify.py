@@ -20,6 +20,7 @@ from quadrocubic.classify import (
 )
 from quadrocubic import classify, constraints, scan
 from quadrocubic.constraints import check_degree_bound
+from quadrocubic.lattice import BasisChange
 from quadrocubic.poly import Poly
 from quadrocubic.scan import BASE_N_MAX, scan_chunk, visits
 
@@ -412,8 +413,9 @@ def test_exclude_case2_solved_values():
 
 
 def test_exclude_case2_refuses_a_non_integral_coefficient(monkeypatch):
-    # a 1/2*d1*d2 term in x leaves the symbolic path (modulo d2) as it is;
-    # the brute path must stop on it, where int() would truncate odd d1*d2
+    # a 1/2*d1*d2 term in x is one the symbolic path (modulo d2) never
+    # reads; the integrality check before both paths must stop it, where
+    # int() would truncate odd d1*d2
     solve = classify.solve_unknowns
 
     def halved(system):
@@ -424,6 +426,61 @@ def test_exclude_case2_refuses_a_non_integral_coefficient(monkeypatch):
     monkeypatch.setattr(classify, "solve_unknowns", halved)
     with pytest.raises(classify.ExclusionFailure, match="non-integral"):
         exclude_case2()
+
+
+def test_exclude_case2_refuses_a_non_integral_constant(monkeypatch):
+    # x's constant term is one the symbolic path reads: it must refuse it
+    # as the brute path would, not truncate it
+    solve = classify.solve_unknowns
+
+    def halved(system):
+        solution = solve(system)
+        solution["u6"] = solution["u6"] + Fraction(1, 2)
+        return solution
+
+    monkeypatch.setattr(classify, "solve_unknowns", halved)
+    with pytest.raises(classify.ExclusionFailure,
+                       match=r"^-73/2 - d1 \+ 12\*d2 has the non-integral coefficient -73/2$"):
+        exclude_case2()
+
+
+def _exact_coefficients(polys):
+    coeffs = [c for p in polys for c in p.terms.values()]
+    assert coeffs
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in coeffs)
+
+
+def test_case2_system_and_solution_stay_exact(monkeypatch):
+    # an int / int division anywhere in the solve would leave a float
+    rows = classify._case2_system()
+    assert _exact_coefficients([p for form, required in rows
+                                for p in (form.constant, required, *form.terms.values())])
+    solve, solutions = classify.solve_unknowns, []
+
+    def recording_solve(system):
+        solutions.append(solve(system))
+        return solutions[-1]
+
+    monkeypatch.setattr(classify, "solve_unknowns", recording_solve)
+    exclude_case2()
+    assert len(solutions) == 1
+    assert _exact_coefficients(solutions[0].values())
+
+
+def test_lattice_symbolics_witness():
+    assert classify._check_lattice_symbolics() == {"checked": 97, "failure": None}
+
+
+def test_lattice_symbolics_catches_a_wrong_inverse(monkeypatch):
+    inverse = BasisChange.inverse
+
+    def off_by_one(self):
+        inv = inverse(self)
+        return BasisChange(inv.m11 + 1, inv.m12, inv.m21, inv.m22)
+
+    monkeypatch.setattr(BasisChange, "inverse", off_by_one)
+    assert classify._check_lattice_symbolics() == {
+        "checked": 0, "failure": "round trip at (1, 1, 1)"}
 
 
 def _fraction_value(p, d1, d2):

@@ -307,6 +307,9 @@ def test_range_below_floor_is_usage_error(argv, message, capsys):
     # must still reach the second case
     (["verify", "--n-max", "8"], "need n_max >= 9: n_max is the stated range, and it "
                                  "must reach the second case at n = 9; got 8"),
+    # the scan is split into K chunks, so K must be positive
+    (["verify", "--threads", "0"], "argument --threads: need K >= 1, got 0"),
+    (["verify", "--threads", "-3"], "argument --threads: need K >= 1, got -3"),
 ])
 def test_bad_option_is_one_line_usage_error(argv, message, capsys):
     assert run_cli(argv) == 2

@@ -114,6 +114,20 @@ def test_nodes_are_equal_only_within_one_type():
     assert len({IntLit(1), IntLit(1), Group(IntLit(1)), Gen("H"), Gen("H")}) == 3
 
 
+@pytest.mark.parametrize("text, printed", [
+    (" + ".join(["H"] * 1500), " + ".join(["H"] * 1500)),
+    (" ".join(["H"] * 1500), "*".join(["H"] * 1500)),
+])
+def test_long_chains_print_compare_and_hash(text, printed):
+    # 1500 levels deep, past the interpreter's default recursion limit
+    ast, again = parse_expr(text), parse_expr(text)
+    assert print_expr(ast) == printed
+    assert parse_expr(printed) == ast
+    assert ast == again and hash(ast) == hash(again)
+    assert ast != parse_expr(text + " + E")
+    assert len({ast, again}) == 1
+
+
 def test_node_fields_cannot_be_assigned():
     node = Pow(Gen("H"), 3)
     for name, value in (("exponent", 4), ("base", Gen("E")), ("other", 1)):

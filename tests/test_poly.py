@@ -74,3 +74,28 @@ def test_as_poly():
     assert as_poly(3) == Poly.const(3)
     assert as_poly("d1") == Poly.symbol("d1")
     assert as_poly(object()) is NotImplemented
+
+
+def test_integral_coefficients_are_stored_as_int():
+    p = Poly({(0, 0): Fraction(4, 2), (1, 0): Fraction(1, 2), (0, 1): -3})
+    assert p.terms == {(0, 0): 2, (1, 0): Fraction(1, 2), (0, 1): -3}
+    assert type(p.coeff((0, 0))) is int and type(p.coeff((0, 1))) is int
+    assert type(p.coeff((1, 0))) is Fraction
+    # arithmetic whose exact result is integral gives an int back
+    half = Poly.const(Fraction(1, 2))
+    for q in (half + half, half * 4, half - Fraction(5, 2), Poly.const(Fraction(6, 3))):
+        assert type(q.constant_value()) is int
+
+
+def test_int_and_fraction_inputs_agree():
+    cases = [
+        ({(0, 0): 512, (0, 1): -2016}, {(0, 0): Fraction(512), (0, 1): Fraction(-4032, 2)}),
+        ({(1, 1): Fraction(1, 2), (0, 0): 7}, {(1, 1): Fraction(2, 4), (0, 0): Fraction(14, 2)}),
+        ({(2, 0): 1}, {(2, 0): Fraction(3, 3)}),
+    ]
+    for ints, fractions in cases:
+        p, q = Poly(ints), Poly(fractions)
+        assert p == q
+        assert hash(p) == hash(q)
+        assert str(p) == str(q)
+        assert p.terms == q.terms

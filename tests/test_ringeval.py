@@ -249,6 +249,34 @@ def test_solve_random_integer_systems():
                 assert solution[f"u{i}"] == Poly.const(v)
 
 
+def _cramer(matrix, rhs):
+    """Naive oracle: Cramer's rule, determinants by Laplace expansion."""
+    def det(m):
+        if len(m) == 1:
+            return Fraction(m[0][0])
+        return sum((-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
+                   for j in range(len(m)))
+
+    d = det(matrix)
+    return [det([row[:j] + [b] + row[j + 1:] for row, b in zip(matrix, rhs)]) / d
+            for j in range(len(matrix))]
+
+
+def test_solve_with_pivots_two_and_three_is_exact():
+    # elimination pivots on 2, then 3, then 1: every step divides
+    matrix = [[2, 1, 0], [4, 5, 1], [2, 4, 2]]
+    rhs = [1, 4, 4]
+    eqs = [(LinearForm(0, {f"u{j}": c for j, c in enumerate(row)}), b)
+           for row, b in zip(matrix, rhs)]
+    solution = solve_unknowns(eqs)
+    expected = _cramer(matrix, rhs)
+    assert [solution[f"u{j}"] for j in range(3)] == [Poly.const(v) for v in expected]
+    assert any(v.denominator != 1 for v in expected)
+    for poly in solution.values():
+        for coeff in poly.terms.values():
+            assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator != 1)
+
+
 def test_linear_form_basics():
     u = LinearForm.unknown("u3")
     assert u.scale(0) == LinearForm(0)
