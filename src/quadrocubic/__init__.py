@@ -5,7 +5,8 @@ The package enumerates candidate parameter tuples (n, a, c, d, m1, m2)
 under a chain of lattice, numerical, and cohomological constraints,
 excludes the nine-dimensional near-miss by a degree contradiction, and
 certifies (4, 1, 3, 2, 2, 1) as the unique configuration. All arithmetic
-is exact: integers and fractions.Fraction throughout, no floats.
+is exact and in integers: no rationals, no floats. The one linear solve
+eliminates without fractions.
 """
 
 __version__ = "0.1.0"
@@ -39,6 +40,7 @@ from .ringeval import (
     InconsistentSystem,
     IntersectionTable,
     LinearForm,
+    NotIntegral,
     RankDeficient,
     solve_unknowns,
 )
@@ -59,6 +61,7 @@ __all__ = [
     "IntersectionTable",
     "LatticeParams",
     "LinearForm",
+    "NotIntegral",
     "ParseError",
     "Poly",
     "RankDeficient",

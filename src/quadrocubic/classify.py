@@ -16,14 +16,13 @@ four products (2H - E)^(9-k) (5H - 3E)^k, expanded by the same
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .betti import derive_case2_betti
 from .constraints import chain, check_degree_bound, katz_cd
 from .evaluate import eval_expr
 from .lattice import LatticeParams, solve_basis_change
 from .parser import parse_expr
-from .ringeval import IntersectionTable, solve_unknowns
+from .ringeval import IntersectionTable, NotIntegral, solve_unknowns
 from .scan import BASE_N_MAX, scan_chunk
 
 CASE1 = (4, 1, 3, 2, 2, 1)
@@ -103,9 +102,12 @@ def a1_ratio_stride_increases(n: int) -> bool:
     return 2 * (e + 2) * (n + 1) ** 2 > e * (n + 5) ** 2
 
 
-def closed_form_dims(n: int) -> tuple[Fraction, Fraction]:
-    """Center dimensions forced by c=3, d=2: ((4n-6)/5, (3n-7)/5)."""
-    return Fraction(4 * n - 6, 5), Fraction(3 * n - 7, 5)
+def closed_form_dims(n: int) -> tuple[int, int] | None:
+    """Center dimensions forced by c=3, d=2: ((4n-6)/5, (3n-7)/5), or None
+    when they are not integers."""
+    m1, m1_rest = divmod(4 * n - 6, 5)
+    m2, m2_rest = divmod(3 * n - 7, 5)
+    return None if m1_rest or m2_rest else (m1, m2)
 
 
 def _attribute(raw: tuple) -> ConfigTuple:
@@ -176,20 +178,9 @@ def _largest_square_free_part(n: int) -> tuple[int, list[int]]:
     return square, primes
 
 
-def _integral_terms(p) -> list[tuple[int, int, int]]:
-    """p's terms as (i, j, c) for c * d1^i * d2^j with integer c; a
-    non-integral coefficient is an ExclusionFailure, never truncated."""
-    terms = []
-    for (i, j), c in p.terms.items():
-        if c.denominator != 1:
-            raise ExclusionFailure(f"{p} has the non-integral coefficient {c}")
-        terms.append((i, j, c.numerator))
-    return terms
-
-
-def _eval_terms(terms: list[tuple[int, int, int]], d1: int, d2: int) -> int:
-    """The exact value of _integral_terms' output at integers d1, d2."""
-    return sum(c * d1**i * d2**j for i, j, c in terms)
+def _eval_terms(terms: dict[tuple[int, int], int], d1: int, d2: int) -> int:
+    """The value of a Poly's terms at integers d1, d2."""
+    return sum(c * d1**i * d2**j for (i, j), c in terms.items())
 
 
 def exclude_case2() -> dict:
@@ -213,27 +204,27 @@ def exclude_case2() -> dict:
     d2 = alpha^4 * beta^2, no residue of d1 satisfies both
     alpha^3 * beta^2 | x and alpha^2 * beta | y. Both paths must agree.
 
-    Both read x and y in integers, so a non-integral coefficient of
-    either fails before the symbolic path, with the same message for
-    any term.
+    Both read x and y in integers: the solver refuses a solution that is
+    not integral, and that fails before either path.
     """
     steps: list[tuple[str, str]] = []
-    solution = solve_unknowns(_case2_system())
+    try:
+        solution = solve_unknowns(_case2_system())
+    except NotIntegral as exc:
+        raise ExclusionFailure(str(exc)) from exc
     x, y = solution["u6"], solution["u7"]
     steps.append(("solve-monomials", f"x = {x}; y = {y}"))
-    # both paths read x and y in integers: checked once, never truncated
-    x_terms, y_terms = _integral_terms(x), _integral_terms(y)
 
     # reduce x, y mod k with d2 == 0 (mod k): only the constant and the
     # d1-linear coefficient survive; anything else must carry a d2 factor
-    def linear_in_d1_mod_d2(p, terms):
-        low = {i: c for i, j, c in terms if j == 0}
+    def linear_in_d1_mod_d2(p):
+        low = {i: c for (i, j), c in p.terms.items() if j == 0}
         if low.keys() - {0, 1}:
             raise ExclusionFailure(f"{p} is not linear in d1 modulo d2")
         return low.get(0, 0), low.get(1, 0)
 
-    x0, x1 = linear_in_d1_mod_d2(x, x_terms)
-    y0, y1 = linear_in_d1_mod_d2(y, y_terms)
+    x0, x1 = linear_in_d1_mod_d2(x)
+    y0, y1 = linear_in_d1_mod_d2(y)
     if abs(x1) != 1:
         raise ExclusionFailure("d1-coefficient of x is not a unit; elimination invalid")
     resultant = abs(x1 * y0 - y1 * x0)
@@ -252,20 +243,20 @@ def exclude_case2() -> dict:
     )
     steps.append(("alpha-beta", f"alpha = 1, beta in {betas} (primes {primes})"))
 
-    bound = Fraction(2, 1) ** 5  # (d/a)^(n-m2) for the case-2 tuple
+    bound = 2**5  # (d/a)^(n-m2) for the case-2 tuple
     violations = []
     for beta in betas:
         d2 = alpha**4 * beta**2
         if check_degree_bound(d2, d=2, a=1, n=9, m2=4):
             raise ExclusionFailure(f"beta = {beta} evades the degree bound")
         violations.append(d2)
-    contradiction = f"{min(violations)} > {int(bound) - 1}"
+    contradiction = f"{min(violations)} > {bound - 1}"
     steps.append(("degree-bound", f"d2 = beta^2 in {violations}, all >= {min(violations)}; "
                                   f"bound is {bound}: {contradiction}"))
 
     # brute cross-check over every admissible degree below the bound
     feasible = []
-    for d2 in range(2, int(bound)):
+    for d2 in range(2, bound):
         a_ = 1
         while a_**4 <= d2:
             if d2 % a_**4 == 0:
@@ -276,15 +267,15 @@ def exclude_case2() -> dict:
                     mod_y = a_**2 * beta
                     period = math.lcm(mod_x, mod_y)
                     for d1 in range(period):
-                        xv = _eval_terms(x_terms, d1, d2)
-                        yv = _eval_terms(y_terms, d1, d2)
+                        xv = _eval_terms(x.terms, d1, d2)
+                        yv = _eval_terms(y.terms, d1, d2)
                         if xv % mod_x == 0 and yv % mod_y == 0:
                             feasible.append((a_, beta, d2, d1))
                             break
             a_ += 1
     if feasible:
         raise ExclusionFailure(f"brute scan found feasible configurations: {feasible}")
-    steps.append(("brute-scan", f"no feasible (alpha, beta) for any d2 in 2..{int(bound) - 1}"))
+    steps.append(("brute-scan", f"no feasible (alpha, beta) for any d2 in 2..{bound - 1}"))
 
     return {"alpha": alpha, "beta_candidates": betas, "d2_bound": str(bound),
             "contradiction": contradiction, "chain": [list(s) for s in steps]}

@@ -20,27 +20,31 @@ the scan and the re-check of its survivors run.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from fractions import Fraction
 
 from .betti import check_betti_gate
 
 
-def katz_cd(n: int, a: int, m1: int, m2: int) -> tuple[Fraction, Fraction]:
-    """Unique (c, d) solving the canonical-class relations for the tuple."""
+def katz_cd(n: int, a: int, m1: int, m2: int) -> tuple[int, int] | None:
+    """The unique (c, d) solving the canonical-class relations
+    c*e1 + e2 = d*e2 + e1 = a*(n+1) for the tuple, with e1 = n-m1-1 and
+    e2 = n-m2-1, or None when c or d is not an integer."""
     e1 = n - m1 - 1
     e2 = n - m2 - 1
-    c = Fraction(a * (n + 1) - e2, e1)
-    d = Fraction(a * (n + 1) - e1, e2)
-    return c, d
+    c, c_rest = divmod(a * (n + 1) - e2, e1)
+    d, d_rest = divmod(a * (n + 1) - e1, e2)
+    return None if c_rest or d_rest else (c, d)
 
 
-def cd_minus_one(n: int, a: int, m1: int, m2: int) -> Fraction:
-    """cd - 1 in closed form: a*num/(e1*e2), num the estimate's numerator.
+def cd_minus_one(n: int, a: int, m1: int, m2: int) -> tuple[int, int]:
+    """cd - 1 in closed form, a*num/(e1*e2) with num the estimate's
+    numerator, as divmod(a*num, e1*e2): the quotient is cd - 1 and the
+    remainder 0 exactly when cd - 1 is an integer.
 
-    Identically the katz_cd product minus 1: the link-7 step of the proof
-    in `chain` derives it from c*e1 + e2 = d*e2 + e1 = a*(n+1)."""
+    The closed form is identically c*d - 1 for c, d solving the
+    canonical-class relations: the link-7 step of the proof in `chain`
+    derives it from c*e1 + e2 = d*e2 + e1 = a*(n+1)."""
     num = a * (n + 1) ** 2 - (n + 1) * (2 * n - 2 - m1 - m2)
-    return Fraction(a * num, (n - m1 - 1) * (n - m2 - 1))
+    return divmod(a * num, (n - m1 - 1) * (n - m2 - 1))
 
 
 def check_eh_divisibility(n: int, a: int, m2: int, cd_minus_1: int) -> bool:
@@ -49,10 +53,11 @@ def check_eh_divisibility(n: int, a: int, m2: int, cd_minus_1: int) -> bool:
 
 
 def check_degree_bound(d2: int, d: int, a: int, n: int, m2: int) -> bool:
-    """deg of the smaller center is bounded by (d/a)^(n-m2), strictly."""
+    """deg of the smaller center is bounded by (d/a)^(n-m2), strictly,
+    compared as d2 * a^(n-m2) < d^(n-m2)."""
     if d2 <= 0 or d <= 0 or a <= 0:
         raise ValueError("inputs must be positive")
-    return d2 < Fraction(d, a) ** (n - m2)
+    return d2 * a ** (n - m2) < d ** (n - m2)
 
 
 def check_katz_consistency(d: int) -> bool:

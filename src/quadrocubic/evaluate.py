@@ -3,6 +3,7 @@ intersection table.
 
 This is the package's one expander of products of H and E: the `eval`
 command and the case-2 system of `classify` both go through `eval_expr`.
+Every coefficient is an int.
 """
 
 from __future__ import annotations
@@ -11,51 +12,74 @@ from .parser import Add, Gen, Group, IntLit, Mul, Node, Pow, Sub, Sym
 from .poly import Poly
 from .ringeval import DegreeMismatch, IntersectionTable, LinearForm
 
-# sparse polynomial in H, E, d1, d2: {(h, e, i, j): integer coefficient of
-# H^h E^e d1^i d2^j}; zero coefficients are never stored
+# sparse polynomial in H, E, d1, d2: {(t, e, i, j): integer coefficient of
+# H^(t-e) E^e d1^i d2^j}, keyed by the degree t in (H, E) first, so that
+# max(p)[0] is p's highest degree; zero coefficients are never stored
 Expansion = dict[tuple[int, int, int, int], int]
+
+# Each product costs one step per pair of terms, so a product of more pairs
+# is refused before it starts and every `eval` ends in bounded time. The
+# largest product the benchmark streams and the case-2 system make has 49
+# pairs.
+MAX_TERM_PAIRS = 100_000
 
 
 def _mul(p: Expansion, q: Expansion, n: int) -> Expansion:
     """p*q, rejected unexpanded when its highest degree in (H, E) exceeds
     n: that part of p*q is the product of the factors' nonzero
-    highest-degree parts, and Q[H, E, d1, d2] has no zero divisors, so it
-    is nonzero. Every product that is kept has degree at most n."""
+    highest-degree parts, and Z[H, E, d1, d2] has no zero divisors, so it
+    is nonzero. Every product that is kept has degree at most n. A product
+    of more than MAX_TERM_PAIRS pairs of terms is refused too."""
     if p and q:
-        top = max(h + e for h, e, _, _ in p) + max(h + e for h, e, _, _ in q)
+        top = max(p)[0] + max(q)[0]
         if top > n:
             raise DegreeMismatch(f"expected homogeneous degree {n}, found a product of degree {top}")
+    if len(p) * len(q) > MAX_TERM_PAIRS:
+        raise ValueError(f"a product of {len(p)} by {len(q)} terms exceeds the budget "
+                         f"of {MAX_TERM_PAIRS} term pairs")
     out: Expansion = {}
-    for (h1, e1, i1, j1), c1 in p.items():
-        for (h2, e2, i2, j2), c2 in q.items():
-            key = (h1 + h2, e1 + e2, i1 + i2, j1 + j2)
+    for (t1, e1, i1, j1), c1 in p.items():
+        for (t2, e2, i2, j2), c2 in q.items():
+            key = (t1 + t2, e1 + e2, i1 + i2, j1 + j2)
             out[key] = out.get(key, 0) + c1 * c2
     return {key: coeff for key, coeff in out.items() if coeff}
 
 
 def _expand(node: Node, n: int) -> Expansion:
-    """Expand the expression. A power above n is rejected before any
-    multiplication, so no power costs more than n products, and `_mul`
+    """Expand the expression. A power whose degree would exceed n is
+    rejected before any multiplication, and the others are raised by
+    squaring, so a power k costs at most 2*log2(k) products. `_mul`
     rejects a product with any part above degree n before expanding it."""
     if isinstance(node, IntLit):
         return {(0, 0, 0, 0): node.value} if node.value else {}
     if isinstance(node, Gen):
-        return {(1, 0, 0, 0) if node.name == "H" else (0, 1, 0, 0): 1}
+        return {(1, 0, 0, 0) if node.name == "H" else (1, 1, 0, 0): 1}
     if isinstance(node, Sym):
         return {(0, 0, 1, 0) if node.name == "d1" else (0, 0, 0, 1): 1}
     if isinstance(node, Group):
         return _expand(node.inner, n)
     if isinstance(node, Pow):
         base = _expand(node.base, n)
+        top = max(base)[0] if base else 0
         if node.exponent > n:
-            if any(h + e for h, e, _, _ in base):
+            if top:
                 raise DegreeMismatch(
                     f"exponent {node.exponent} exceeds n = {n} on a base of positive degree"
                 )
             raise ValueError(f"exponent {node.exponent} exceeds n = {n} on a scalar base")
+        if top * node.exponent > n:
+            # the degree that multiplying by the base one factor at a time
+            # would reach first
+            raise DegreeMismatch(f"expected homogeneous degree {n}, "
+                                 f"found a product of degree {(n // top + 1) * top}")
         result: Expansion = {(0, 0, 0, 0): 1}
-        for _ in range(node.exponent):
-            result = _mul(result, base, n)
+        k = node.exponent
+        while k:
+            if k & 1:
+                result = _mul(result, base, n)
+            k >>= 1
+            if k:
+                base = _mul(base, base, n)
         return result
     if isinstance(node, Mul):
         # the parser nests a product to the left, one level per factor, so
@@ -94,17 +118,24 @@ def eval_expr(ast: Node, n: int, m: int, deg) -> LinearForm:
     against the table for an m-dimensional center of degree `deg`."""
     table = IntersectionTable(n, m, deg)
     expansion = _expand(ast, n)
-    bad = sorted(h + e for h, e, _, _ in expansion if h + e != n)
+    bad = sorted(t for t, _, _, _ in expansion if t != n)
     if bad:
         raise DegreeMismatch(f"expected homogeneous degree {n}, found degree {bad[0]}")
     # the d1, d2 coefficient of each H^(n-k) E^k
     by_e: dict[int, dict[tuple[int, int], int]] = {}
     for (_, e, i, j), coeff in expansion.items():
         by_e.setdefault(e, {})[(i, j)] = coeff
-    # each entry is a constant or one unknown u_e, so no unknown repeats
-    constant, terms = Poly(), {}
+    # each entry is an unknown u_e, so none repeats, or a constant monomial
+    constant: dict[tuple[int, int], int] = {}
+    terms: dict[str, Poly] = {}
     for e, coeffs in by_e.items():
-        entry = table.entry(e).scale(Poly(coeffs))
-        constant = constant + entry.constant
-        terms.update(entry.terms)
-    return LinearForm(constant, terms)
+        value = table.value(e)
+        if type(value) is str:
+            terms[value] = Poly(coeffs)
+            continue
+        factor, (di, dj) = value
+        if factor:
+            for (i, j), coeff in coeffs.items():
+                key = (i + di, j + dj)
+                constant[key] = constant.get(key, 0) + factor * coeff
+    return LinearForm(Poly(constant), terms)

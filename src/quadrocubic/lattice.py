@@ -9,7 +9,7 @@ the charts with determinant -1.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import index
 
 
 class ChartMismatch(ValueError):
@@ -58,14 +58,15 @@ class LatticeParams:
 
 
 class DivisorClass:
-    """Exact 2-vector in the basis {H, E} of one chart."""
+    """Integral 2-vector in the basis {H, E} of one chart; a coordinate
+    that is not an integer raises TypeError."""
 
     __slots__ = ("chart", "h", "e")
 
-    def __init__(self, chart: int, h, e):
+    def __init__(self, chart: int, h: int, e: int):
         if chart not in (1, 2):
             raise ValueError(f"chart must be 1 or 2, got {chart}")
-        self.chart, self.h, self.e = chart, Fraction(h), Fraction(e)
+        self.chart, self.h, self.e = chart, index(h), index(e)
 
     def __eq__(self, other):
         if not isinstance(other, DivisorClass):

@@ -74,9 +74,6 @@ class _Node:
 
     __delattr__ = __setattr__
 
-    def __repr__(self):
-        return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
-
 
 # Each node class spells out its __init__: the parser builds nodes on
 # every `eval`, and a shared __init__ looping over __slots__ is slower.

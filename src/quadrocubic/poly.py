@@ -1,15 +1,16 @@
-"""Exact polynomials in the two degree symbols d1, d2 over the rationals.
+"""Exact polynomials in the two degree symbols d1, d2 with integer
+coefficients.
 
 Everything downstream (intersection tables, linear forms, the symbolic
 linear solve) carries its constants as these polynomials, so divisibility
-and sign arguments stay exact end to end. A coefficient is stored as an
-int, or as a Fraction only when its value is not integral: the case-2
-system and its solution are integral, and int arithmetic is the cheaper.
+and sign arguments stay exact end to end. Every coefficient is an int:
+the solver eliminates without fractions and reports a solution that is
+not integral with its common denominator (`ringeval.NotIntegral`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from operator import index
 
 SYMBOLS = ("d1", "d2")
 
@@ -23,23 +24,21 @@ def _monomial_key(exps: Exponents):
 
 
 class Poly:
-    """Polynomial in d1, d2 with rational coefficients, each an int, or a
-    Fraction when its value is not integral (Fraction(4, 2) is stored as 2).
+    """Polynomial in d1, d2 with integer coefficients.
 
-    Immutable once constructed; zero coefficients are never stored.
+    A coefficient that is not an integer (a float, a rational) raises
+    TypeError. Immutable once constructed; zero coefficients are never
+    stored.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean: dict[Exponents, int | Fraction] = {}
+        clean: dict[Exponents, int] = {}
         if terms:
             for exps, coeff in terms.items():
                 if type(coeff) is not int:
-                    if type(coeff) is not Fraction:
-                        coeff = Fraction(coeff)
-                    if coeff.denominator == 1:
-                        coeff = coeff.numerator
+                    coeff = index(coeff)
                 if coeff:
                     i, j = exps
                     if i < 0 or j < 0:
@@ -66,12 +65,12 @@ class Poly:
     def is_constant(self) -> bool:
         return not self.terms or self.terms.keys() == {(0, 0)}
 
-    def constant_value(self) -> int | Fraction:
+    def constant_value(self) -> int:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
         return self.terms.get((0, 0), 0)
 
-    def coeff(self, exps: Exponents) -> int | Fraction:
+    def coeff(self, exps: Exponents) -> int:
         return self.terms.get(tuple(exps), 0)
 
     # -- arithmetic ------------------------------------------------------
@@ -110,7 +109,7 @@ class Poly:
         other = as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[Exponents, int | Fraction] = {}
+        terms: dict[Exponents, int] = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 e = (i1 + i2, j1 + j2)
@@ -156,10 +155,10 @@ def signed_join(parts: list[tuple[str, str]]) -> str:
 
 
 def as_poly(value) -> Poly:
-    """Coerce an int, Fraction, symbol name, or Poly to a Poly."""
+    """Coerce an int, symbol name, or Poly to a Poly."""
     if isinstance(value, Poly):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return Poly.const(value)
     if isinstance(value, str) and value in SYMBOLS:
         return Poly.symbol(value)

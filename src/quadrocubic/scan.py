@@ -3,7 +3,7 @@
 The kernel loops over (n, m1, a, m2), in that order. `visits` settles
 a = 1 by a proved lemma (two tuples, for every n), and a >= 2 with
 link 1's gate on, or above n = BASE_N_MAX, by two more (no tuple). On
-the base n <= BASE_N_MAX it turns link 2 into proved loop bounds.
+the base n <= BASE_N_MAX it turns links 2 and 7 into proved loop bounds.
 `scan_chunk` decides each tuple it visits with `constraints.chain`,
 which defines the chain and numbers its links, and returns the few
 survivors as plain 6-tuples (n, a, c, d, m1, m2).
@@ -55,7 +55,7 @@ def visits(n_lo: int, n_hi: int) -> Iterator[tuple[int, int, int, range]]:
       it is 80 >= 49, and per step in e2 the middle term at least
       doubles while the right one grows by at most (25/21)^2 < 2. So the
       e1-loop starts at the first e1 with the gate off, (n+2)//4, and
-      link 1 asks nothing more: m2 runs over all of 1..m1-1.
+      link 1 asks nothing more of m2.
     - Lemma: with a >= 2 and the gate off no tuple passes link 2 once
       n >= 19, so every loop stops at n = BASE_N_MAX. With the gate off,
       e1 >= e = ceil((n-2)/4), and link 2's left side
@@ -70,8 +70,10 @@ def visits(n_lo: int, n_hi: int) -> Iterator[tuple[int, int, int, range]]:
       a^(e2-1)*e2*e1 at the smallest e2 = e1+1, which rises in e2. So
       once it reaches N^2 every m2 fails link 7: the e1-loop stops at
       the first e1 where it does at a = 2, and the a-loop at the first a.
-      Every m2 in 1..m1-1 is yielded; `scan_chunk` drops those with
-      non-integral (c, d).
+      Below that, link 7 holds at e2 = e1+1, and as its left side rises
+      in e2, it holds exactly on e1+1..E for the last such E <= n-2.
+      With m2 = n-1-e2, the m2-range is n-1-E..m1-1; `scan_chunk` drops
+      the m2 with non-integral (c, d).
     """
     for n in range(max(4, n_lo), min(n_hi, BASE_N_MAX) + 1):
         if n in _A1_LEMMA:
@@ -85,7 +87,10 @@ def visits(n_lo: int, n_hi: int) -> Iterator[tuple[int, int, int, range]]:
             for a in itertools.count(2):
                 if a**e1 * (e1 + 1) * e1 >= n1sq:
                     break
-                yield n, m1, a, range(1, m1)
+                e2 = e1 + 1  # the last e2 <= n-2 where link 7 holds
+                while e2 < n - 2 and a**e2 * (e2 + 1) * e1 < n1sq:
+                    e2 += 1
+                yield n, m1, a, range(n - 1 - e2, m1)
 
 
 def scan_chunk(n_lo: int, n_hi: int) -> list[Survivor]:

@@ -183,7 +183,7 @@ def test_criterion_8_property_suites():
             continue
         bc = solve_basis_change(LatticeParams(a=a, c=c, d=d))
         lattice_ok &= bc.determinant() == -1
-        probe = DivisorClass(1, Fraction(rng.randint(-9, 9), 2), rng.randint(-9, 9))
+        probe = DivisorClass(1, rng.randint(-9, 9), rng.randint(-9, 9))
         lattice_ok &= bc.apply_inverse(bc.apply(probe)) == probe
 
     parser_ok = True
@@ -216,11 +216,19 @@ def _visited_tuples(n_max):
 
 
 def test_criterion_9_cd_identity_on_scan():
+    # cd_minus_one's closed form against c*e1 = a*N - e2 and
+    # d*e2 = a*N - e1, cross-multiplied by e1*e2 so that every tuple
+    # compares in integers, and against katz_cd's product where it is
+    # integral
     ok = True
     count = 0
     for n, m1, m2, a in _visited_tuples(200):
-        c, d = katz_cd(n, a, m1, m2)
-        ok &= cd_minus_one(n, a, m1, m2) == c * d - 1
+        e1, e2, an = n - m1 - 1, n - m2 - 1, a * (n + 1)
+        q, r = cd_minus_one(n, a, m1, m2)
+        ok &= (an - e2) * (an - e1) - e1 * e2 == q * e1 * e2 + r
+        cd = katz_cd(n, a, m1, m2)
+        if cd is not None:
+            ok &= (q, r) == (cd[0] * cd[1] - 1, 0)
         count += 1
     ok &= count > 0
     assert _verdict(9, f"cd-1 identity on all {count} visited scan tuples", ok)

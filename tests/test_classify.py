@@ -145,8 +145,10 @@ def test_closed_form_dims():
     # n=14 integral but rejected by the strict gate m1 < (3n-2)/4
     assert 4 * m1 >= 3 * 14 - 2
     for n in range(4, 60):
-        integral = closed_form_dims(n)[0].denominator == 1
-        assert integral == (n % 5 == 4)
+        dims = closed_form_dims(n)
+        assert (dims is not None) == (n % 5 == 4)
+        if dims is not None:
+            assert (5 * dims[0], 5 * dims[1]) == (4 * n - 6, 3 * n - 7)
 
 
 def test_enumerate_floor():
@@ -309,12 +311,12 @@ def test_visits_settles_large_n_without_a_power(monkeypatch):
 
 
 def test_visits_work_is_pinned():
-    # the loop bounds leave 116 tuples with a >= 2 to the chain, all at
+    # the loop bounds leave 46 tuples with a >= 2 to the chain, all at
     # n <= 17, and none above; a change that widens the loops shows here
     assert list(visits(18, 2000)) == []
     above_one = [(n, m1, a, m2) for n, m1, a, m2s in visits(4, BASE_N_MAX)
                  if a >= 2 for m2 in m2s]
-    assert len(above_one) == 116
+    assert len(above_one) == 46
     assert max(n for n, *_ in above_one) == 17
 
 
@@ -412,35 +414,38 @@ def test_exclude_case2_solved_values():
     assert "-399 - 14*d1 + 84*d2" in detail
 
 
+def _perturbed_case2_system(monkeypatch, delta):
+    """Make the case-2 system's last row read 2*form = 2*required + delta.
+    Column 3 of the inverse matrix (criterion 3) is (-1, -14, -112, -672),
+    so x = u6 moves by -delta/2 and y, u8, u9 stay integral."""
+    system = classify._case2_system
+
+    def perturbed():
+        rows = system()
+        form, required = rows[3]
+        rows[3] = (form.scale(2), required * 2 + delta)
+        return rows
+
+    monkeypatch.setattr(classify, "_case2_system", perturbed)
+
+
 def test_exclude_case2_refuses_a_non_integral_coefficient(monkeypatch):
     # a 1/2*d1*d2 term in x is one the symbolic path (modulo d2) never
-    # reads; the integrality check before both paths must stop it, where
-    # int() would truncate odd d1*d2
-    solve = classify.solve_unknowns
-
-    def halved(system):
-        solution = solve(system)
-        solution["u6"] = solution["u6"] + Poly({(1, 1): Fraction(1, 2)})
-        return solution
-
-    monkeypatch.setattr(classify, "solve_unknowns", halved)
-    with pytest.raises(classify.ExclusionFailure, match="non-integral"):
+    # reads; the solve must refuse it before both paths, where int() would
+    # truncate odd d1*d2
+    _perturbed_case2_system(monkeypatch, -Poly({(1, 1): 1}))
+    with pytest.raises(classify.ExclusionFailure,
+                       match=r"^solution is not integral: u6 = "
+                             r"\(-74 - 2\*d1 \+ 24\*d2 \+ d1\*d2\)/2$"):
         exclude_case2()
 
 
 def test_exclude_case2_refuses_a_non_integral_constant(monkeypatch):
     # x's constant term is one the symbolic path reads: it must refuse it
     # as the brute path would, not truncate it
-    solve = classify.solve_unknowns
-
-    def halved(system):
-        solution = solve(system)
-        solution["u6"] = solution["u6"] + Fraction(1, 2)
-        return solution
-
-    monkeypatch.setattr(classify, "solve_unknowns", halved)
+    _perturbed_case2_system(monkeypatch, -1)
     with pytest.raises(classify.ExclusionFailure,
-                       match=r"^-73/2 - d1 \+ 12\*d2 has the non-integral coefficient -73/2$"):
+                       match=r"^solution is not integral: u6 = \(-73 - 2\*d1 \+ 24\*d2\)/2$"):
         exclude_case2()
 
 

@@ -184,6 +184,74 @@ def test_package_import_leaves_out_dataclasses():
     assert proc.stdout == "False\n"
 
 
+def test_package_import_leaves_out_fractions():
+    # all arithmetic is in integers; `fractions` would also load `decimal`
+    src = str(Path(quadrocubic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, quadrocubic.cli; "
+         "print('fractions' in sys.modules, 'decimal' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.stdout == "False False\n"
+
+
+@pytest.mark.parametrize("n, expr, out, err", [
+    (10000, "(H+E)^10000", "", "term pairs"),
+    (120, "(H+E+d1+d2)^120", "", "term pairs"),
+    (1000000000, "H^1000000000", "1\n", ""),
+], ids=["two-terms", "four-terms", "one-term"])
+def test_eval_large_power_ends_in_bounded_time(n, expr, out, err):
+    # each took from 25 s to past a minute when a power was one product per
+    # factor; squaring makes H^(10^9) about 30 products, and the term-pair
+    # budget refuses the products of the others before they start
+    src = str(Path(quadrocubic.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadrocubic", "eval", "--n", str(n), "--m", "1",
+         "--deg", "1", expr],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert proc.stdout == out
+    if err:
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert err in proc.stderr
+    else:
+        assert proc.returncode == 0 and proc.stderr == ""
+
+
+def test_eval_term_pair_budget_is_checked_before_multiplying(monkeypatch, capsys):
+    # (H+E)^2 (H+E)^2 ends in one product of 3 by 3 terms: refused with a
+    # budget of 8 pairs, evaluated with a budget of 9
+    from quadrocubic import evaluate
+
+    monkeypatch.setattr(evaluate, "MAX_TERM_PAIRS", 8)
+    argv = ["eval", "--n", "4", "--m", "2", "--deg", "d1", "(H+E)^2 (H+E)^2"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a product of 3 by 3 terms exceeds the budget "
+                            "of 8 term pairs\n")
+    monkeypatch.setattr(evaluate, "MAX_TERM_PAIRS", 9)
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == "1 - 6*d1 + 4*u3 + u4\n"
+
+
+def test_eval_term_pair_budget_is_far_above_the_case2_system(monkeypatch):
+    from quadrocubic import evaluate
+
+    pairs, mul = [], evaluate._mul
+
+    def counting(p, q, n):
+        pairs.append(len(p) * len(q))
+        return mul(p, q, n)
+
+    monkeypatch.setattr(evaluate, "_mul", counting)
+    classify._case2_system()
+    assert max(pairs) == 28 and 1000 * max(pairs) <= evaluate.MAX_TERM_PAIRS
+
+
 def test_verify_large_ineq_max_runs_in_bounded_time():
     # the inequality above 18 is settled by a lemma, so the stated range
     # costs nothing; evaluating it value by value would take days
@@ -209,8 +277,9 @@ def test_verify_large_ineq_max_runs_in_bounded_time():
     ("(H^9)(H^9) - (H^9)(H^9) + H^9", 18),
     ("(1+H)(H^9) - (1+H)(H^9) + H^9", 10),
     (" ".join(["(1+H+E)^9"] * 10), 18),
+    ("(H^2+E^2)^7", 10),
 ], ids=["40-factors", "80-factors", "nested-power", "cancelling", "cancelling-top-part",
-        "degree-0-part"])
+        "degree-0-part", "power-of-degree-2"])
 def test_eval_product_above_n_is_rejected_before_expansion(expr, degree):
     # 40 and 80 factors used to take seconds to expand before the final
     # degree check, nested powers longer, and factors with a degree-0 part

@@ -1,7 +1,5 @@
 """Tests for the named numerical constraint predicates."""
 
-from fractions import Fraction
-
 import pytest
 
 from quadrocubic import constraints
@@ -20,22 +18,36 @@ from test_acceptance import _visited_tuples
 def test_katz_cd_examples():
     assert katz_cd(4, 1, 2, 1) == (3, 2)
     assert katz_cd(9, 1, 6, 4) == (3, 2)
-    assert katz_cd(5, 1, 3, 1) == (3, Fraction(5, 3))
+    # c = 3 but d = 5/3, and c = 2 but d = 3/2: not integral
+    assert katz_cd(5, 1, 3, 1) is None
+    assert katz_cd(7, 1, 4, 2) is None
 
 
 def test_cd_minus_one_examples():
-    assert cd_minus_one(4, 1, 2, 1) == 5
-    assert cd_minus_one(9, 1, 6, 4) == 5
+    assert cd_minus_one(4, 1, 2, 1) == (5, 0)
+    assert cd_minus_one(9, 1, 6, 4) == (5, 0)
+    # c*d - 1 = 3 * 5/3 - 1 = 4 with d = 5/3, from 4*e1*e2 = 4*1*3
+    assert cd_minus_one(5, 1, 3, 1) == (4, 0)
+    # c*d - 1 = 5/2 * 7/4 - 1 = 27/8 = 3 + 3/8, with e1*e2 = 2*4
+    assert cd_minus_one(8, 1, 5, 3) == (3, 3)
 
 
 def test_cd_minus_one_identity():
-    # cd_minus_one equals the katz_cd product minus one, identically
+    # cd_minus_one equals c*d - 1 for c*e1 = a*N - e2 and d*e2 = a*N - e1,
+    # identically: cross-multiplied by e1*e2, in integers, on every tuple,
+    # and exactly katz_cd's product minus one where that is integral
     for n in range(4, 40):
         for m1 in range(2, n - 1):
+            e1 = n - m1 - 1
             for m2 in range(1, m1):
+                e2 = n - m2 - 1
                 for a in range(1, 4):
-                    c, d = katz_cd(n, a, m1, m2)
-                    assert cd_minus_one(n, a, m1, m2) == c * d - 1
+                    q, r = cd_minus_one(n, a, m1, m2)
+                    assert 0 <= r < e1 * e2
+                    assert (a * (n + 1) - e2) * (a * (n + 1) - e1) - e1 * e2 == q * e1 * e2 + r
+                    cd = katz_cd(n, a, m1, m2)
+                    if cd is not None:
+                        assert (q, r) == (cd[0] * cd[1] - 1, 0)
 
 
 def test_eh_divisibility():
@@ -86,9 +98,10 @@ def test_katz_identities_hold_for_integral_output():
     for n in range(4, 60):
         for m1 in range(2, n - 1):
             for m2 in range(1, m1):
-                c, d = katz_cd(n, 1, m1, m2)
-                if c.denominator != 1 or d.denominator != 1:
+                cd = katz_cd(n, 1, m1, m2)
+                if cd is None:
                     continue
+                c, d = cd
                 cdm1 = c * d - 1
                 assert (d - 1) * (n + 1) == (n - m1 - 1) * cdm1
                 assert (c - 1) * (n + 1) == (n - m2 - 1) * cdm1
@@ -100,10 +113,10 @@ def test_dropped_clauses_are_implied():
     # proof states, and the estimate's divisibility is exactly link 8
     met = {"integral": 0, "link 8": 0, "d >= 2": 0}
     for n, m1, m2, a in _visited_tuples(60):
-        c, d = katz_cd(n, a, m1, m2)
-        if c.denominator != 1 or d.denominator != 1:
+        cd = katz_cd(n, a, m1, m2)
+        if cd is None:
             continue
-        c, d = int(c), int(d)
+        c, d = cd
         e1, e2, cdm1 = n - m1 - 1, n - m2 - 1, c * d - 1
         # integrality alone: the canonical-class identities, the congruences
         assert a * (d - 1) * (n + 1) == e1 * cdm1

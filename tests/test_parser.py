@@ -126,6 +126,7 @@ def test_long_chains_print_compare_and_hash(text, printed):
     assert ast == again and hash(ast) == hash(again)
     assert ast != parse_expr(text + " + E")
     assert len({ast, again}) == 1
+    assert type(ast).__name__ in repr(ast)  # the default repr: no recursion
 
 
 def test_node_fields_cannot_be_assigned():

@@ -14,6 +14,7 @@ from quadrocubic.ringeval import (
     InconsistentSystem,
     IntersectionTable,
     LinearForm,
+    NotIntegral,
     RankDeficient,
     solve_unknowns,
 )
@@ -120,10 +121,10 @@ def test_expand_degree_mismatch():
 def _naive_expand(factors, table):
     """Oracle: multiply out one linear factor at a time, tracking the
     E-exponent coefficient list, then substitute table entries."""
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for h, e, exp in factors:
         for _ in range(exp):
-            new = [Fraction(0)] * (len(coeffs) + 1)
+            new = [0] * (len(coeffs) + 1)
             for k, ck in enumerate(coeffs):
                 new[k] += ck * h
                 new[k + 1] += ck * e
@@ -231,7 +232,7 @@ def test_solve_random_integer_systems():
     rng = random.Random(999)
     for _ in range(150):
         size = rng.randint(1, 4)
-        values = [Fraction(rng.randint(-9, 9)) for _ in range(size)]
+        values = [rng.randint(-9, 9) for _ in range(size)]
         eqs = []
         for _ in range(size + rng.randint(0, 1)):
             coeffs = [rng.randint(-5, 5) for _ in range(size)]
@@ -263,18 +264,57 @@ def _cramer(matrix, rhs):
 
 
 def test_solve_with_pivots_two_and_three_is_exact():
-    # elimination pivots on 2, then 3, then 1: every step divides
+    # elimination pivots on 2, then 3, then 1: every step divides. The
+    # solution is not integral, so it comes back as a common denominator
+    # and integer numerators, which must equal Cramer's rule exactly
     matrix = [[2, 1, 0], [4, 5, 1], [2, 4, 2]]
     rhs = [1, 4, 4]
     eqs = [(LinearForm(0, {f"u{j}": c for j, c in enumerate(row)}), b)
            for row, b in zip(matrix, rhs)]
-    solution = solve_unknowns(eqs)
+    with pytest.raises(NotIntegral) as info:
+        solve_unknowns(eqs)
     expected = _cramer(matrix, rhs)
-    assert [solution[f"u{j}"] for j in range(3)] == [Poly.const(v) for v in expected]
     assert any(v.denominator != 1 for v in expected)
-    for poly in solution.values():
-        for coeff in poly.terms.values():
-            assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator != 1)
+    denominator, numerators = info.value.denominator, info.value.numerators
+    assert denominator > 0 and sorted(numerators) == ["u0", "u1", "u2"]
+    for j, value in enumerate(expected):
+        assert numerators[f"u{j}"].is_constant()
+        numerator = numerators[f"u{j}"].constant_value()
+        assert type(numerator) is int
+        assert Fraction(numerator, denominator) == value
+    assert str(info.value) == "solution is not integral: u0 = (2)/6"
+
+
+def test_solve_integral_systems_match_cramer():
+    # Bareiss elimination on random integral systems with Poly right sides,
+    # against Cramer's rule: an integral solution comes back as Polys, any
+    # other one as NotIntegral with the same exact values
+    rng = random.Random(4242)
+    seen = {"integral": 0, "not integral": 0}
+    for _ in range(120):
+        size = rng.randint(1, 4)
+        matrix = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
+        rhs = [Poly({(rng.randint(0, 1), rng.randint(0, 1)): rng.randint(-9, 9),
+                     (0, 0): rng.randint(-9, 9)}) for _ in range(size)]
+        eqs = [(LinearForm(0, {f"u{j}": c for j, c in enumerate(row)}), b)
+               for row, b in zip(matrix, rhs)]
+        if any(not any(row[j] for row in matrix) for j in range(size)):
+            continue  # an unknown that no equation names
+        try:
+            solution = solve_unknowns(eqs)
+            denominator, numerators = 1, solution
+            seen["integral"] += 1
+        except NotIntegral as exc:
+            denominator, numerators = exc.denominator, exc.numerators
+            seen["not integral"] += 1
+        except (RankDeficient, InconsistentSystem):
+            continue  # singular
+        for exps in {(0, 0), (1, 0), (0, 1), (1, 1)}:
+            expected = _cramer(matrix, [b.coeff(exps) for b in rhs])
+            got = [Fraction(numerators[f"u{j}"].coeff(exps), denominator)
+                   for j in range(size)]
+            assert got == expected
+    assert all(seen.values()), seen
 
 
 def test_linear_form_basics():
@@ -285,12 +325,12 @@ def test_linear_form_basics():
 
 
 def test_linear_form_rejects_inexact_values():
-    for bad in ("x", 1.5, None):
+    for bad in ("x", 1.5, None, Fraction(1, 2), Fraction(4, 2)):
         with pytest.raises(TypeError):
             LinearForm(bad)
         with pytest.raises(TypeError):
             LinearForm(0, {"u1": bad})
-    assert LinearForm("d1", {"u1": Fraction(1, 2)}) == LinearForm(D1, {"u1": Fraction(1, 2)})
+    assert LinearForm("d1", {"u1": 2}) == LinearForm(D1, {"u1": Poly.const(2)})
 
 
 def test_linear_form_unknown_ordering():
