@@ -15,9 +15,10 @@ four products (2H - E)^(9-k) (5H - 3E)^k, expanded by the same
 
 from __future__ import annotations
 
+import itertools
 import math
 
-from .betti import derive_case2_betti
+from .betti import check_betti_gate, derive_case2_betti
 from .constraints import chain, check_degree_bound, katz_cd
 from .evaluate import eval_expr
 from .lattice import LatticeParams, solve_basis_change
@@ -144,17 +145,23 @@ def enumerate_candidates(n_max: int, workers: int = 1) -> list[ConfigTuple]:
 
 
 def _case2_system():
-    """The four chart-1 monomial equations in chart-2 unknowns: row k is
-    the paper's product (2H - E)^(9-k) (5H - 3E)^k, written as text from
-    the basis change and evaluated on the chart-2 table."""
-    bc = solve_basis_change(LatticeParams(a=1, c=3, d=2))
-    table1 = IntersectionTable(9, 6, "d1")
+    """The chart-1 monomial equations of CASE2 in chart-2 unknowns: row k
+    is the paper's product (2H - E)^(9-k) (5H - 3E)^k, written as text
+    from the basis change and evaluated on the chart-2 table.
+
+    The chart-1 entries H1^(n-k) E1^k are known for k = 0..n-m1, which
+    gives n - m1 + 1 = 4 rows. The chart-2 table has one unknown for each
+    entry above its codimension n - m2, m2 = 4 of them, so the system is
+    square."""
+    n, a, c, d, m1, m2 = CASE2
+    bc = solve_basis_change(LatticeParams(a=a, c=c, d=d))
+    table1 = IntersectionTable(n, m1, "d1")
     equations = []
-    for k in range(4):
-        text = f"({bc.m11}H {bc.m12:+d}E)^{9 - k} ({bc.m21}H {bc.m22:+d}E)^{k}"
+    for k in range(n - m1 + 1):
+        text = f"({bc.m11}H {bc.m12:+d}E)^{n - k} ({bc.m21}H {bc.m22:+d}E)^{k}"
         required = table1.entry(k)
         assert required.is_constant()
-        equations.append((eval_expr(parse_expr(text), 9, 4, "d2"), required.constant))
+        equations.append((eval_expr(parse_expr(text), n, m2, "d2"), required.constant))
     return equations
 
 
@@ -207,6 +214,7 @@ def exclude_case2() -> dict:
     Both read x and y in integers: the solver refuses a solution that is
     not integral, and that fails before either path.
     """
+    n, a, _, d, _, m2 = CASE2
     steps: list[tuple[str, str]] = []
     try:
         solution = solve_unknowns(_case2_system())
@@ -243,11 +251,14 @@ def exclude_case2() -> dict:
     )
     steps.append(("alpha-beta", f"alpha = 1, beta in {betas} (primes {primes})"))
 
-    bound = 2**5  # (d/a)^(n-m2) for the case-2 tuple
+    # the least integer at or above (d/a)^(n-m2), so that an integral d2
+    # is below it exactly when it passes check_degree_bound
+    power = n - m2
+    bound = -(-(d**power) // a**power)
     violations = []
     for beta in betas:
         d2 = alpha**4 * beta**2
-        if check_degree_bound(d2, d=2, a=1, n=9, m2=4):
+        if check_degree_bound(d2, d=d, a=a, n=n, m2=m2):
             raise ExclusionFailure(f"beta = {beta} evades the degree bound")
         violations.append(d2)
     contradiction = f"{min(violations)} > {bound - 1}"
@@ -389,10 +400,12 @@ def verify_main_theorem(n_max: int = 200, ineq_max: int = 100000, workers: int =
         dims = closed_form_dims(n)
         details[str(n)] = {"katz_cd": [str(v) for v in cd], "dims": [str(v) for v in dims]}
         closed_ok &= cd == (c, d) and dims == (m1, m2) and n in (4, 9)
-    # the n=14 boundary is rejected by the strict gate m1 < (3n-2)/4
-    m1_14 = closed_form_dims(14)[0]
-    closed_ok &= 4 * m1_14 >= 3 * 14 - 2
-    details["14"] = {"m1": str(m1_14), "rejected": "4*m1 >= 3n-2"}
+    # the next n with integral closed-form dimensions is rejected by the
+    # strict gate m1 < (3n-2)/4
+    n_next = next(n for n in itertools.count(CASE2[0] + 1) if closed_form_dims(n))
+    m1_next = closed_form_dims(n_next)[0]
+    closed_ok &= check_betti_gate(n_next, m1_next)
+    details[str(n_next)] = {"m1": str(m1_next), "rejected": "4*m1 >= 3n-2"}
     add("closed-form-crosscheck", closed_ok, details)
 
     try:

@@ -20,7 +20,6 @@ from . import __version__
 from .classify import enumerate_candidates, exclude_case2, scan_backend, verify_main_theorem
 from .parser import ParseError, parse_expr
 from .evaluate import eval_expr
-from .ringeval import DegreeMismatch
 
 
 def report_document(report: dict, config: dict) -> dict:
@@ -160,10 +159,16 @@ def run_cli(argv: list[str] | None = None) -> int:
         except ParseError as exc:
             return _usage_error(exc)
         try:
-            # str() raises ValueError on a value past the int-string limit
-            text = str(eval_expr(ast, args.n, args.m, deg))
-        except (DegreeMismatch, ValueError) as exc:
+            # a DegreeMismatch and the expander's budgets are ValueErrors
+            form = eval_expr(ast, args.n, args.m, deg)
+        except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
+            return 1
+        try:
+            text = str(form)
+        except ValueError:  # a coefficient past the interpreter's int-string limit
+            print(f"error: the value has more than {sys.get_int_max_str_digits()} digits",
+                  file=sys.stderr)
             return 1
         print(text)
         return 0

@@ -35,18 +35,6 @@ def katz_cd(n: int, a: int, m1: int, m2: int) -> tuple[int, int] | None:
     return None if c_rest or d_rest else (c, d)
 
 
-def cd_minus_one(n: int, a: int, m1: int, m2: int) -> tuple[int, int]:
-    """cd - 1 in closed form, a*num/(e1*e2) with num the estimate's
-    numerator, as divmod(a*num, e1*e2): the quotient is cd - 1 and the
-    remainder 0 exactly when cd - 1 is an integer.
-
-    The closed form is identically c*d - 1 for c, d solving the
-    canonical-class relations: the link-7 step of the proof in `chain`
-    derives it from c*e1 + e2 = d*e2 + e1 = a*(n+1)."""
-    num = a * (n + 1) ** 2 - (n + 1) * (2 * n - 2 - m1 - m2)
-    return divmod(a * num, (n - m1 - 1) * (n - m2 - 1))
-
-
 def check_eh_divisibility(n: int, a: int, m2: int, cd_minus_1: int) -> bool:
     """a^(n-m2) must divide cd-1."""
     return cd_minus_1 % a ** (n - m2) == 0
@@ -102,8 +90,8 @@ def chain(n: int, a: int, c: int, d: int, m1: int, m2: int) -> Iterator[tuple[st
       m2-m1 - a*(m2+2) = (a-1-d)*e2 = 0 (mod e2) the same way.
     - Link 7 and the estimate's other clauses: its numerator is
       num = a*N^2 - N*(e1+e2) = N*(a*N - e1 - e2), and by the first
-      identity (cd-1)*e1*e2 = a*N*(d-1)*e2 = a*N*(a*N - e1 - e2) = a*num,
-      which is `cd_minus_one`. So e1*e2*a^e2 | num iff a^(e2+1) | cd-1,
+      identity (cd-1)*e1*e2 = a*N*(d-1)*e2 = a*N*(a*N - e1 - e2) = a*num.
+      So e1*e2*a^e2 | num iff a^(e2+1) | cd-1,
       which is link 8 (e2+1 = n-m2), and num > 0 because cd > 1 when
       c > d >= 2 (the first step). As a*N - e1 - e2 < a*N, the identity
       also gives cd-1 < a^2*N^2/(e1*e2). Link 8 makes the positive cd-1

@@ -23,17 +23,30 @@ Expansion = dict[tuple[int, int, int, int], int]
 # pairs.
 MAX_TERM_PAIRS = 100_000
 
+# Multiplying two coefficients costs time and memory that grow with their
+# bit lengths, so a product whose factors' largest coefficients have more
+# bits than this between them is refused before it starts too, and no
+# `eval` builds a coefficient much longer than that. The largest such sum in
+# the benchmark streams is 32 bits, and 16 in the case-2 system.
+MAX_COEFFICIENT_BITS = 100_000
+
 
 def _mul(p: Expansion, q: Expansion, n: int) -> Expansion:
     """p*q, rejected unexpanded when its highest degree in (H, E) exceeds
     n: that part of p*q is the product of the factors' nonzero
     highest-degree parts, and Z[H, E, d1, d2] has no zero divisors, so it
     is nonzero. Every product that is kept has degree at most n. A product
-    of more than MAX_TERM_PAIRS pairs of terms is refused too."""
+    of more than MAX_TERM_PAIRS pairs of terms, or of coefficients of more
+    than MAX_COEFFICIENT_BITS bits together, is refused too."""
     if p and q:
         top = max(p)[0] + max(q)[0]
         if top > n:
             raise DegreeMismatch(f"expected homogeneous degree {n}, found a product of degree {top}")
+        p_bits = max(map(abs, p.values())).bit_length()
+        q_bits = max(map(abs, q.values())).bit_length()
+        if p_bits + q_bits > MAX_COEFFICIENT_BITS:
+            raise ValueError(f"a product of coefficients of {p_bits} and {q_bits} bits exceeds "
+                             f"the budget of {MAX_COEFFICIENT_BITS} bits")
     if len(p) * len(q) > MAX_TERM_PAIRS:
         raise ValueError(f"a product of {len(p)} by {len(q)} terms exceeds the budget "
                          f"of {MAX_TERM_PAIRS} term pairs")

@@ -73,9 +73,6 @@ class DivisorClass:
             return NotImplemented
         return (self.chart, self.h, self.e) == (other.chart, other.h, other.e)
 
-    def __repr__(self):
-        return f"DivisorClass({self.chart}, {self.h!r}, {self.e!r})"
-
 
 class BasisChange:
     """Integral 2x2 matrix sending chart-1 coordinates to chart-2 ones.
@@ -105,16 +102,6 @@ class BasisChange:
         if det not in (1, -1):
             raise ConstraintViolation("unimodularity", f"determinant {det} is not a unit")
         return BasisChange(self.m22 // det, -self.m12 // det, -self.m21 // det, self.m11 // det)
-
-    def apply_inverse(self, dc: DivisorClass) -> DivisorClass:
-        if dc.chart != 2:
-            raise ChartMismatch("inverse basis change maps chart-2 classes to chart 1")
-        inv = self.inverse()
-        return DivisorClass(
-            1,
-            dc.h * inv.m11 + dc.e * inv.m21,
-            dc.h * inv.m12 + dc.e * inv.m22,
-        )
 
 
 def solve_basis_change(lp: LatticeParams) -> BasisChange:

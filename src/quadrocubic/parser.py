@@ -12,6 +12,10 @@ Groups nest at most MAX_NESTING deep.
 Juxtaposition of factors denotes multiplication, so expressions like
 "(2H-E)^8 (5H-3E)" paste straight in. Whitespace is insignificant; '*'
 between a coefficient and a generator is optional.
+
+`parse_expr` returns the AST as plain `__slots__` records (IntLit, Gen,
+Sym, Group, Pow, Mul, Add, Sub). Nothing changes a node once the parser
+has built it, and nodes define no equality, hash or printing of their own.
 """
 
 from __future__ import annotations
@@ -29,117 +33,66 @@ class ParseError(ValueError):
         )
 
 
-class _Node:
-    """An immutable AST node. Two nodes are equal when they have the same
-    type and equal fields, so Add(a, b) != Sub(a, b)."""
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    # __eq__ and __hash__ walk the tree with a stack, not by recursion: the
-    # parser nests a sum or a product one level per term, and a long one
-    # is deeper than the interpreter's recursion limit.
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if type(a) is not type(b):
-                return False
-            for x, y in zip(a._fields(), b._fields()):
-                if isinstance(x, _Node):
-                    pairs.append((x, y))
-                elif x != y:
-                    return False
-        return True
-
-    def __hash__(self):
-        # each node's type and plain fields, in an order set by the shape
-        items, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            items.append(type(node))
-            for x in node._fields():
-                if isinstance(x, _Node):
-                    stack.append(x)
-                else:
-                    items.append(x)
-        return hash(tuple(items))
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"cannot change {name!r}: {type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-
-# Each node class spells out its __init__: the parser builds nodes on
-# every `eval`, and a shared __init__ looping over __slots__ is slower.
-_set = object.__setattr__
-
-
-class IntLit(_Node):
+class IntLit:
     __slots__ = ("value",)
 
     def __init__(self, value: int):
-        _set(self, "value", value)
+        self.value = value
 
 
-class Gen(_Node):
+class Gen:
     __slots__ = ("name",)  # 'H' or 'E'
 
     def __init__(self, name: str):
-        _set(self, "name", name)
+        self.name = name
 
 
-class Sym(_Node):
+class Sym:
     __slots__ = ("name",)  # 'd1' or 'd2'
 
     def __init__(self, name: str):
-        _set(self, "name", name)
+        self.name = name
 
 
-class Group(_Node):
+class Group:
     __slots__ = ("inner",)
 
     def __init__(self, inner: "Node"):
-        _set(self, "inner", inner)
+        self.inner = inner
 
 
-class Pow(_Node):
+class Pow:
     __slots__ = ("base", "exponent")
 
     def __init__(self, base: "Node", exponent: int):
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
-        _set(self, "base", base)
-        _set(self, "exponent", exponent)
+        self.base = base
+        self.exponent = exponent
 
 
-class Mul(_Node):
+class Mul:
     __slots__ = ("left", "right")
 
     def __init__(self, left: "Node", right: "Node"):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        self.left = left
+        self.right = right
 
 
-class Add(_Node):
+class Add:
     __slots__ = ("left", "right")
 
     def __init__(self, left: "Node", right: "Node"):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        self.left = left
+        self.right = right
 
 
-class Sub(_Node):
+class Sub:
     __slots__ = ("left", "right")
 
     def __init__(self, left: "Node", right: "Node"):
-        _set(self, "left", left)
-        _set(self, "right", right)
+        self.left = left
+        self.right = right
 
 
 Node = IntLit | Gen | Sym | Group | Pow | Mul | Add | Sub
@@ -301,24 +254,3 @@ def parse_expr(text: str) -> Node:
     """Parse an intersection monomial expression into its AST."""
     return _Parser(text).parse()
 
-
-def print_expr(node: Node) -> str:
-    """Render an AST back to source; parse(print(ast)) == ast."""
-    if isinstance(node, IntLit):
-        return str(node.value)
-    if isinstance(node, (Gen, Sym)):
-        return node.name
-    if isinstance(node, Group):
-        return f"({print_expr(node.inner)})"
-    if isinstance(node, Pow):
-        return f"{print_expr(node.base)}^{node.exponent}"
-    if isinstance(node, (Mul, Add, Sub)):
-        # the parser nests a chain to the left, one level per term or
-        # factor, so fold the left spine in a loop, as evaluate._expand does
-        tail = []
-        while isinstance(node, (Mul, Add, Sub)):
-            op = "*" if isinstance(node, Mul) else " + " if isinstance(node, Add) else " - "
-            tail.append(op + print_expr(node.right))
-            node = node.left
-        return print_expr(node) + "".join(reversed(tail))
-    raise TypeError(f"not an expression node: {node!r}")

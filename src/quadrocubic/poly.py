@@ -27,8 +27,9 @@ class Poly:
     """Polynomial in d1, d2 with integer coefficients.
 
     A coefficient that is not an integer (a float, a rational) raises
-    TypeError. Immutable once constructed; zero coefficients are never
-    stored.
+    TypeError. Arithmetic returns a new Poly and never changes one in
+    place. Zero coefficients are never stored, so two polynomials are
+    equal exactly when their `terms` are.
     """
 
     __slots__ = ("terms",)
@@ -50,13 +51,6 @@ class Poly:
     def const(cls, value) -> "Poly":
         return cls({(0, 0): value})
 
-    @classmethod
-    def symbol(cls, name: str) -> "Poly":
-        if name not in SYMBOLS:
-            raise ValueError(f"unknown degree symbol {name!r}")
-        exps = (1, 0) if name == "d1" else (0, 1)
-        return cls({exps: 1})
-
     # -- predicates ------------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -70,20 +64,7 @@ class Poly:
             raise ValueError(f"{self} is not constant")
         return self.terms.get((0, 0), 0)
 
-    def coeff(self, exps: Exponents) -> int:
-        return self.terms.get(tuple(exps), 0)
-
     # -- arithmetic ------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        other = as_poly(other)
-        return other is not NotImplemented and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __neg__(self) -> "Poly":
-        return Poly({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other) -> "Poly":
         other = as_poly(other)
@@ -93,8 +74,6 @@ class Poly:
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0) + c
         return Poly(terms)
-
-    __radd__ = __add__
 
     def __sub__(self, other) -> "Poly":
         other = as_poly(other)
@@ -115,8 +94,6 @@ class Poly:
                 e = (i1 + i2, j1 + j2)
                 terms[e] = terms.get(e, 0) + c1 * c2
         return Poly(terms)
-
-    __rmul__ = __mul__
 
     # -- rendering -------------------------------------------------------
 
@@ -141,9 +118,6 @@ class Poly:
             parts.append((sign, body))
         return signed_join(parts)
 
-    def __repr__(self) -> str:
-        return f"Poly({self})"
-
 
 def signed_join(parts: list[tuple[str, str]]) -> str:
     """Render (sign, body) terms as "a - b + c": a leading "+" is dropped."""
@@ -155,11 +129,9 @@ def signed_join(parts: list[tuple[str, str]]) -> str:
 
 
 def as_poly(value) -> Poly:
-    """Coerce an int, symbol name, or Poly to a Poly."""
+    """Coerce an int or Poly to a Poly."""
     if isinstance(value, Poly):
         return value
     if isinstance(value, int):
         return Poly.const(value)
-    if isinstance(value, str) and value in SYMBOLS:
-        return Poly.symbol(value)
     return NotImplemented

@@ -72,7 +72,7 @@ class LinearForm:
 
     Coefficients live in the polynomial ring over d1, d2; solve_unknowns
     takes only forms whose unknowns have integer coefficients. Zero
-    coefficients are never stored; equality is coefficient-wise.
+    coefficients are never stored.
     """
 
     __slots__ = ("constant", "terms")
@@ -94,14 +94,6 @@ class LinearForm:
     def is_constant(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LinearForm):
-            coerced = as_poly(other)
-            if coerced is NotImplemented:
-                return NotImplemented
-            other = LinearForm(coerced)
-        return self.constant == other.constant and self.terms == other.terms
-
     def __add__(self, other) -> "LinearForm":
         if not isinstance(other, LinearForm):
             other = LinearForm(other)
@@ -110,16 +102,11 @@ class LinearForm:
             terms[name] = terms.get(name, Poly()) + coeff
         return LinearForm(self.constant + other.constant, terms)
 
-    __radd__ = __add__
-
     def scale(self, factor) -> "LinearForm":
         factor = as_poly(factor)
         return LinearForm(
             self.constant * factor, {n: c * factor for n, c in self.terms.items()}
         )
-
-    __rmul__ = scale
-    __mul__ = scale
 
     def __str__(self) -> str:
         parts: list[tuple[str, str]] = []
@@ -137,9 +124,6 @@ class LinearForm:
                 body = f"({coeff})*{name}"
             parts.append((sign, body))
         return signed_join(parts)
-
-    def __repr__(self) -> str:
-        return f"LinearForm({self})"
 
 
 class IntersectionTable:
@@ -204,8 +188,8 @@ def solve_unknowns(
     """Solve a linear system over the unknowns by fraction-free (Bareiss)
     elimination.
 
-    Each equation is (form, required value); the value may be an int,
-    degree symbol, or Poly. The unknowns' coefficients must be integers
+    Each equation is (form, required value); the value may be an int or
+    a Poly. The unknowns' coefficients must be integers
     (a coefficient that is not raises ValueError naming it); the right
     sides are Polys. Every step of the elimination divides by the
     previous pivot, and by Sylvester's identity each such division is

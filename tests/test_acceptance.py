@@ -18,14 +18,14 @@ from quadrocubic.classify import (
     verify_main_theorem,
 )
 from quadrocubic.cli import run_cli
-from quadrocubic.constraints import cd_minus_one, katz_cd
+from quadrocubic.constraints import katz_cd
 from quadrocubic.evaluate import eval_expr
 from quadrocubic.lattice import DivisorClass, LatticeParams, solve_basis_change
-from quadrocubic.parser import parse_expr, print_expr
+from quadrocubic.parser import parse_expr
 from quadrocubic.poly import Poly
 from quadrocubic.ringeval import IntersectionTable, solve_unknowns
 
-from test_parser import _random_expr
+from test_parser import _random_expr, flat, print_expr
 from test_ringeval import (
     CASE2_SOLUTION,
     CASE2_SYSTEM_ROWS,
@@ -33,6 +33,8 @@ from test_ringeval import (
     _eval_product,
     _naive_expand,
     _product_text,
+    form_terms,
+    solution_terms,
 )
 
 
@@ -53,12 +55,10 @@ def test_criterion_2_symbolic_solve_exactness():
     equations = []
     for k, (constant, coeffs) in enumerate(CASE2_SYSTEM_ROWS):
         form = _eval_product(_case2_factors(k), table2)
-        rows_ok &= form.constant == constant
-        rows_ok &= tuple(form.terms[f"u{i}"] for i in range(6, 10)) == tuple(
-            Poly.const(v) for v in coeffs
-        )
+        rows_ok &= form_terms(form) == (
+            constant, {f"u{i}": {(0, 0): v} for i, v in zip(range(6, 10), coeffs)})
         equations.append((form, IntersectionTable(9, 6, "d1").entry(k).constant))
-    solution_ok = solve_unknowns(equations) == CASE2_SOLUTION
+    solution_ok = solution_terms(solve_unknowns(equations)) == CASE2_SOLUTION
     ok = rows_ok and solution_ok
     assert _verdict(2, "cross-chart system rows, constants, and solution", ok)
 
@@ -172,7 +172,8 @@ def test_criterion_8_property_suites():
         c, i, j = rng.randint(-9, 9), rng.randint(0, 2), rng.randint(0, 2)
         text = f"{c} d1^{i} d2^{j} {_product_text(factors)}"
         expected = _naive_expand(factors, table).scale(Poly({(i, j): c}))
-        expansion_ok &= eval_expr(parse_expr(text), n, m, table.deg) == expected
+        got = eval_expr(parse_expr(text), n, m, table.deg)
+        expansion_ok &= form_terms(got) == form_terms(expected)
 
     lattice_ok = True
     for _ in range(1000):
@@ -183,13 +184,15 @@ def test_criterion_8_property_suites():
             continue
         bc = solve_basis_change(LatticeParams(a=a, c=c, d=d))
         lattice_ok &= bc.determinant() == -1
-        probe = DivisorClass(1, rng.randint(-9, 9), rng.randint(-9, 9))
-        lattice_ok &= bc.apply_inverse(bc.apply(probe)) == probe
+        h, e = rng.randint(-9, 9), rng.randint(-9, 9)
+        image, inv = bc.apply(DivisorClass(1, h, e)), bc.inverse()
+        lattice_ok &= (image.h * inv.m11 + image.e * inv.m21,
+                       image.h * inv.m12 + image.e * inv.m22) == (h, e)
 
     parser_ok = True
     for _ in range(1000):
         ast = _random_expr(rng, rng.randint(1, 5))
-        parser_ok &= parse_expr(print_expr(ast)) == ast
+        parser_ok &= flat(parse_expr(print_expr(ast))) == flat(ast)
 
     ok = expansion_ok and lattice_ok and parser_ok
     assert _verdict(8, "property suites (expansion, basis change, parser)", ok)
@@ -216,19 +219,19 @@ def _visited_tuples(n_max):
 
 
 def test_criterion_9_cd_identity_on_scan():
-    # cd_minus_one's closed form against c*e1 = a*N - e2 and
-    # d*e2 = a*N - e1, cross-multiplied by e1*e2 so that every tuple
-    # compares in integers, and against katz_cd's product where it is
-    # integral
+    # the identity (cd-1)*e1*e2 = a*num of the proof in constraints.chain,
+    # num = a*N^2 - N*(e1+e2): for c*e1 = a*N - e2 and d*e2 = a*N - e1,
+    # cross-multiplied by e1*e2 so that every tuple compares in integers,
+    # and on katz_cd's (c, d) itself where it is integral
     ok = True
     count = 0
     for n, m1, m2, a in _visited_tuples(200):
         e1, e2, an = n - m1 - 1, n - m2 - 1, a * (n + 1)
-        q, r = cd_minus_one(n, a, m1, m2)
-        ok &= (an - e2) * (an - e1) - e1 * e2 == q * e1 * e2 + r
+        a_num = an * (an - e1 - e2)  # a*num
+        ok &= (an - e2) * (an - e1) - e1 * e2 == a_num
         cd = katz_cd(n, a, m1, m2)
         if cd is not None:
-            ok &= (q, r) == (cd[0] * cd[1] - 1, 0)
+            ok &= (cd[0] * cd[1] - 1) * e1 * e2 == a_num
         count += 1
     ok &= count > 0
     assert _verdict(9, f"cd-1 identity on all {count} visited scan tuples", ok)

@@ -433,7 +433,7 @@ def test_exclude_case2_refuses_a_non_integral_coefficient(monkeypatch):
     # a 1/2*d1*d2 term in x is one the symbolic path (modulo d2) never
     # reads; the solve must refuse it before both paths, where int() would
     # truncate odd d1*d2
-    _perturbed_case2_system(monkeypatch, -Poly({(1, 1): 1}))
+    _perturbed_case2_system(monkeypatch, Poly({(1, 1): -1}))
     with pytest.raises(classify.ExclusionFailure,
                        match=r"^solution is not integral: u6 = "
                              r"\(-74 - 2\*d1 \+ 24\*d2 \+ d1\*d2\)/2$"):

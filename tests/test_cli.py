@@ -14,6 +14,19 @@ from quadrocubic.cli import run_cli
 from quadrocubic.parser import MAX_NESTING
 
 
+def _python(*args, timeout=30):
+    """Run `python *args` in a fresh interpreter with the package's source
+    on its path."""
+    src = str(Path(quadrocubic.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def _cli(*argv, timeout=30):
+    """Run `python -m quadrocubic *argv` as _python does."""
+    return _python("-m", "quadrocubic", *argv, timeout=timeout)
+
+
 def test_eval_first_system_expression(capsys):
     code = run_cli(["eval", "--n", "9", "--m", "4", "--deg", "d2", "(2H-E)^9"])
     out = capsys.readouterr().out.strip()
@@ -86,13 +99,7 @@ def test_eval_parse_error_is_usage_error(capsys):
     ("H^20 - H^20 + H^9", "base of positive degree"),
 ])
 def test_eval_power_above_n_is_rejected_at_once(expr, message):
-    src = str(Path(quadrocubic.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadrocubic", "eval", "--n", "9", "--m", "4",
-         "--deg", "2", expr],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
+    proc = _cli("eval", "--n", "9", "--m", "4", "--deg", "2", expr)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
@@ -102,13 +109,7 @@ def test_eval_power_above_n_is_rejected_at_once(expr, message):
 def test_enumerate_huge_n_max_runs_in_bounded_time():
     # the lemmas of scan.visits leave only the base 4..18 to scan, so the
     # stated range costs nothing; a scan of every n would never end
-    src = str(Path(quadrocubic.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadrocubic", "enumerate", "--json",
-         "--n-max", "1000000000000"],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
+    proc = _cli("enumerate", "--json", "--n-max", "1000000000000")
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {
         "n_max": 10**12, "survivors": [[4, 1, 3, 2, 2, 1], [9, 1, 3, 2, 6, 4]]}
@@ -117,26 +118,15 @@ def test_enumerate_huge_n_max_runs_in_bounded_time():
 def test_verify_huge_n_max_with_pool_runs_in_bounded_time():
     # verify scans the base 4..18 whatever --n-max states, and --threads
     # splits only the base
-    src = str(Path(quadrocubic.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadrocubic", "verify", "--threads", "2",
-         "--n-max", "1000000000000"],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
+    proc = _cli("verify", "--threads", "2", "--n-max", "1000000000000")
     assert proc.returncode == 0
     assert proc.stdout.endswith("conclusion: quadro-cubic unique\n")
 
 
 def test_package_import_leaves_out_the_process_pool():
     # no module of the package imports an executor
-    src = str(Path(quadrocubic.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, quadrocubic.cli; "
-         "print('concurrent.futures.process' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
+    proc = _python("-c", "import sys, quadrocubic.cli; "
+                   "print('concurrent.futures.process' in sys.modules)")
     assert proc.stdout == "False\n"
 
 
@@ -159,10 +149,7 @@ print(json.dumps({"loaded": loaded, "two": two, "one": document("1")}))
 def test_verify_with_threads_starts_no_process():
     # --threads splits the scan into chunks run in turn: nothing loads a
     # process or thread pool, and the document is the serial one
-    src = str(Path(quadrocubic.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT],
-                          env=env, capture_output=True, text=True, timeout=30)
+    proc = _python("-c", _THREADS_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["loaded"] == []
@@ -174,25 +161,14 @@ def test_verify_with_threads_starts_no_process():
 def test_package_import_leaves_out_dataclasses():
     # the records are hand-written classes; `dataclasses` would also load
     # inspect, ast, dis and tokenize at every start
-    src = str(Path(quadrocubic.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, quadrocubic.cli; "
-         "print('dataclasses' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
+    proc = _python("-c", "import sys, quadrocubic.cli; print('dataclasses' in sys.modules)")
     assert proc.stdout == "False\n"
 
 
 def test_package_import_leaves_out_fractions():
     # all arithmetic is in integers; `fractions` would also load `decimal`
-    src = str(Path(quadrocubic.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, quadrocubic.cli; "
-         "print('fractions' in sys.modules, 'decimal' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
+    proc = _python("-c", "import sys, quadrocubic.cli; "
+                   "print('fractions' in sys.modules, 'decimal' in sys.modules)")
     assert proc.stdout == "False False\n"
 
 
@@ -200,18 +176,15 @@ def test_package_import_leaves_out_fractions():
     (10000, "(H+E)^10000", "", "term pairs"),
     (120, "(H+E+d1+d2)^120", "", "term pairs"),
     (1000000000, "H^1000000000", "1\n", ""),
-], ids=["two-terms", "four-terms", "one-term"])
+    (10000000000, "2^10000000000 H^10000000000", "", "bits"),
+], ids=["two-terms", "four-terms", "one-term", "coefficient"])
 def test_eval_large_power_ends_in_bounded_time(n, expr, out, err):
     # each took from 25 s to past a minute when a power was one product per
     # factor; squaring makes H^(10^9) about 30 products, and the term-pair
-    # budget refuses the products of the others before they start
-    src = str(Path(quadrocubic.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadrocubic", "eval", "--n", str(n), "--m", "1",
-         "--deg", "1", expr],
-        env=env, capture_output=True, text=True, timeout=10,
-    )
+    # budget refuses the products of the others before they start. Squaring
+    # 2 on its way to a 10^10-bit coefficient ended in a MemoryError; the
+    # coefficient budget refuses it at 2^(2^17)
+    proc = _cli("eval", "--n", str(n), "--m", "1", "--deg", "1", expr, timeout=10)
     assert proc.stdout == out
     if err:
         assert proc.returncode == 1
@@ -241,27 +214,41 @@ def test_eval_term_pair_budget_is_checked_before_multiplying(monkeypatch, capsys
 def test_eval_term_pair_budget_is_far_above_the_case2_system(monkeypatch):
     from quadrocubic import evaluate
 
-    pairs, mul = [], evaluate._mul
+    pairs, bits, mul = [], [], evaluate._mul
 
     def counting(p, q, n):
         pairs.append(len(p) * len(q))
+        bits.append(max(map(abs, p.values())).bit_length()
+                    + max(map(abs, q.values())).bit_length())
         return mul(p, q, n)
 
     monkeypatch.setattr(evaluate, "_mul", counting)
     classify._case2_system()
     assert max(pairs) == 28 and 1000 * max(pairs) <= evaluate.MAX_TERM_PAIRS
+    assert max(bits) == 16 and 1000 * max(bits) <= evaluate.MAX_COEFFICIENT_BITS
+
+
+def test_eval_coefficient_budget_is_checked_before_multiplying(monkeypatch, capsys):
+    # 5^3 7^3 H^4 ends in one product of 5^3 * 7^3 = 42875, 16 bits, by the
+    # 1 of H^4, 1 bit: refused with a budget of 16 bits, evaluated with 17
+    from quadrocubic import evaluate
+
+    monkeypatch.setattr(evaluate, "MAX_COEFFICIENT_BITS", 16)
+    argv = ["eval", "--n", "4", "--m", "2", "--deg", "1", "5^3 7^3 H^4"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: a product of coefficients of 16 and 1 bits exceeds "
+                            "the budget of 16 bits\n")
+    monkeypatch.setattr(evaluate, "MAX_COEFFICIENT_BITS", 17)
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out == "42875\n"
 
 
 def test_verify_large_ineq_max_runs_in_bounded_time():
     # the inequality above 18 is settled by a lemma, so the stated range
     # costs nothing; evaluating it value by value would take days
-    src = str(Path(quadrocubic.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadrocubic", "verify", "--json", "--n-max", "9",
-         "--ineq-max", "1000000000000"],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
+    proc = _cli("verify", "--json", "--n-max", "9", "--ineq-max", "1000000000000")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["conclusion"] == "quadro-cubic unique"
@@ -284,13 +271,7 @@ def test_eval_product_above_n_is_rejected_before_expansion(expr, degree):
     # 40 and 80 factors used to take seconds to expand before the final
     # degree check, nested powers longer, and factors with a degree-0 part
     # about 9 s; a cancelling product is rejected too
-    src = str(Path(quadrocubic.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadrocubic", "eval", "--n", "9", "--m", "4",
-         "--deg", "2", expr],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
+    proc = _cli("eval", "--n", "9", "--m", "4", "--deg", "2", expr)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == (
@@ -333,11 +314,13 @@ def test_eval_overlong_literal_is_usage_error(capsys, int_str_limit):
 
 def test_eval_value_too_long_to_print_is_evaluation_failure(capsys, int_str_limit):
     big = "9" * 3000
-    code = run_cli(["eval", "--n", "9", "--m", "4", "--deg", "2", f"{big} {big} H^9"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    for n, expr in ((9, f"{big} {big} H^9"), (50000, "2^50000 H^50000")):
+        code = run_cli(["eval", "--n", str(n), "--m", "1", "--deg", "1", expr])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        # in the CLI's words, not the interpreter's
+        assert captured.err == "error: the value has more than 4300 digits\n"
 
 
 def test_eval_bad_deg_argument(capsys):
@@ -388,12 +371,7 @@ def test_bad_option_is_one_line_usage_error(argv, message, capsys):
 
 
 def test_removed_option_ends_without_traceback():
-    src = str(Path(quadrocubic.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadrocubic", "verify", "--no-axiom-hc"],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
+    proc = _cli("verify", "--no-axiom-hc")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: unrecognized arguments: --no-axiom-hc\n"
@@ -415,12 +393,7 @@ def test_eval_bad_chart_or_degree_is_usage_error(n, m, deg, message, capsys):
 
 
 def test_module_entry_point_runs_the_command():
-    src = str(Path(quadrocubic.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "quadrocubic", "verify", "--n-max", "9"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = _cli("verify", "--n-max", "9", timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "conclusion: quadro-cubic unique" in proc.stdout
 

@@ -4,7 +4,6 @@ import pytest
 
 from quadrocubic import constraints
 from quadrocubic.constraints import (
-    cd_minus_one,
     chain,
     check_degree_bound,
     check_eh_divisibility,
@@ -23,31 +22,23 @@ def test_katz_cd_examples():
     assert katz_cd(7, 1, 4, 2) is None
 
 
-def test_cd_minus_one_examples():
-    assert cd_minus_one(4, 1, 2, 1) == (5, 0)
-    assert cd_minus_one(9, 1, 6, 4) == (5, 0)
-    # c*d - 1 = 3 * 5/3 - 1 = 4 with d = 5/3, from 4*e1*e2 = 4*1*3
-    assert cd_minus_one(5, 1, 3, 1) == (4, 0)
-    # c*d - 1 = 5/2 * 7/4 - 1 = 27/8 = 3 + 3/8, with e1*e2 = 2*4
-    assert cd_minus_one(8, 1, 5, 3) == (3, 3)
-
-
 def test_cd_minus_one_identity():
-    # cd_minus_one equals c*d - 1 for c*e1 = a*N - e2 and d*e2 = a*N - e1,
-    # identically: cross-multiplied by e1*e2, in integers, on every tuple,
-    # and exactly katz_cd's product minus one where that is integral
+    # the proof in `chain` rests on (cd-1)*e1*e2 = a*N*(a*N - e1 - e2) for
+    # the (c, d) of the canonical-class relations; katz_cd's must meet it
+    # wherever they are integral, which they are on 831 of these tuples
+    integral = 0
     for n in range(4, 40):
         for m1 in range(2, n - 1):
             e1 = n - m1 - 1
             for m2 in range(1, m1):
                 e2 = n - m2 - 1
                 for a in range(1, 4):
-                    q, r = cd_minus_one(n, a, m1, m2)
-                    assert 0 <= r < e1 * e2
-                    assert (a * (n + 1) - e2) * (a * (n + 1) - e1) - e1 * e2 == q * e1 * e2 + r
                     cd = katz_cd(n, a, m1, m2)
                     if cd is not None:
-                        assert (q, r) == (cd[0] * cd[1] - 1, 0)
+                        an = a * (n + 1)
+                        assert (cd[0] * cd[1] - 1) * e1 * e2 == an * (an - e1 - e2)
+                        integral += 1
+    assert integral == 831
 
 
 def test_eh_divisibility():
