@@ -399,7 +399,7 @@ def verify_main_theorem(n_max: int = 200, ineq_max: int = 100000, workers: int =
         cd = katz_cd(n, a, m1, m2)
         dims = closed_form_dims(n)
         details[str(n)] = {"katz_cd": [str(v) for v in cd], "dims": [str(v) for v in dims]}
-        closed_ok &= cd == (c, d) and dims == (m1, m2) and n in (4, 9)
+        closed_ok &= cd == (c, d) and dims == (m1, m2)
     # the next n with integral closed-form dimensions is rejected by the
     # strict gate m1 < (3n-2)/4
     n_next = next(n for n in itertools.count(CASE2[0] + 1) if closed_form_dims(n))
@@ -408,9 +408,9 @@ def verify_main_theorem(n_max: int = 200, ineq_max: int = 100000, workers: int =
     details[str(n_next)] = {"m1": str(m1_next), "rejected": "4*m1 >= 3n-2"}
     add("closed-form-crosscheck", closed_ok, details)
 
-    try:
-        add("case2-betti", True, derive_case2_betti())
-    except Exception as exc:  # arithmetic contradiction in the replay
+    try:  # the (n, m1, m2) of CASE2
+        add("case2-betti", True, derive_case2_betti(CASE2[0], *CASE2[4:]))
+    except ValueError as exc:  # no candidate pair, or more than one
         add("case2-betti", False, {"error": str(exc)})
 
     try:

@@ -147,7 +147,10 @@ def run_cli(argv: list[str] | None = None) -> int:
         if deg not in ("d1", "d2"):
             try:
                 deg = int(deg)
-            except ValueError:
+            except ValueError:  # not an integer, or one longer than the int-string limit
+                digits = args.deg.strip().lstrip("+-")
+                if digits.isdecimal() and 0 < sys.get_int_max_str_digits() < len(digits):
+                    return _usage_error(f"--deg is too long: a {len(digits)}-digit integer")
                 deg = 0
             if deg <= 0:
                 return _usage_error(

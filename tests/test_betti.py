@@ -1,18 +1,43 @@
 """Tests for the even-Betti-number machinery."""
 
+import io
+import itertools
+import json
 import random
+from contextlib import redirect_stdout
 
 import pytest
 
+from quadrocubic import betti
 from quadrocubic.betti import (
-    BettiContradiction,
     BettiSeq,
     barth_larsen_forced,
     blowup_even_betti,
     check_betti_gate,
     derive_case2_betti,
-    difference_relation,
 )
+from quadrocubic.classify import CASE2
+from quadrocubic.cli import run_cli
+
+CASE2_DIMS = (CASE2[0], *CASE2[4:])  # (n, m1, m2) = (9, 6, 4)
+DERIVED = ((1, 1, 2, 2, 2, 1, 1), (1, 1, 1, 1, 1))
+
+
+def difference_relation(aseq: BettiSeq, bseq: BettiSeq, n: int, m1: int, m2: int) -> bool:
+    """a_i - a_{i-(n-m1-1)} = b_i - b_{i-(n-m2-1)} at every index: the
+    telescoped form of the blow-up agreement (see the betti docstring)."""
+    return all(
+        aseq.at(i) - aseq.at(i - (n - m1 - 1)) == bseq.at(i) - bseq.at(i - (n - m2 - 1))
+        for i in range(n + max(m1, m2) + 2)
+    )
+
+
+def _printed_relation(aseq: BettiSeq, bseq: BettiSeq, n: int, m1: int) -> bool:
+    """The paper's printed form, with the first chart's offset on both sides."""
+    return all(
+        aseq.at(i) - aseq.at(i - (n - m1 - 1)) == bseq.at(i) - bseq.at(i - (n - m1 - 1))
+        for i in range(n + m1 + 2)
+    )
 
 
 def test_betti_seq_basics():
@@ -48,6 +73,19 @@ def test_blowup_even_betti_out_of_range_k():
     assert blowup_even_betti(seq, 9, 4, 9 + 4) == 0
 
 
+def test_blowup_even_betti_is_a_sum_of_shifted_copies():
+    # one copy of the center per level of the exceptional divisor, shifted
+    # up by 1..n-m-1, plus the ambient class
+    rng = random.Random(2323)
+    for _ in range(2000):
+        n = rng.randint(2, 12)
+        m = rng.randint(0, n)
+        seq = BettiSeq(rng.randint(0, 4) for _ in range(m + 1))
+        k = rng.randint(-3, 2 * n + 3)
+        copies = sum(seq.at(k - shift) for shift in range(1, n - m))
+        assert blowup_even_betti(seq, n, m, k) == copies + (0 <= k <= n)
+
+
 def test_blowup_even_betti_dimension_guard():
     with pytest.raises(ValueError):
         blowup_even_betti(BettiSeq((1, 1)), 9, 4, 0)
@@ -81,6 +119,16 @@ def test_difference_relation_case1_instance():
 
 def test_difference_relation_failure_detected():
     assert not difference_relation(BettiSeq((1, 3, 1)), BettiSeq((1, 1)), 4, 2, 1)
+
+
+def test_printed_difference_relation_rejects_the_derived_pair():
+    # the module docstring's note: the printed form, with the first
+    # chart's offset on both sides, fails at i = 2 on the sequences the
+    # blow-up agreement forces, a2 - a0 = 1 against b2 - b0 = 0
+    aseq, bseq = map(BettiSeq, DERIVED)
+    assert _relation_via_blowup(aseq, bseq, *CASE2_DIMS)
+    assert difference_relation(aseq, bseq, *CASE2_DIMS)
+    assert not _printed_relation(aseq, bseq, *CASE2_DIMS[:2])
 
 
 def _relation_via_blowup(aseq, bseq, n, m1, m2):
@@ -120,13 +168,13 @@ def test_check_betti_gate():
 
 
 def test_derive_case2_betti_values():
-    result = derive_case2_betti()
+    result = derive_case2_betti(*CASE2_DIMS)
     assert result["a"] == [1, 1, 2, 2, 2, 1, 1]
     assert result["b"] == [1, 1, 1, 1, 1]
 
 
 def test_derive_case2_betti_invariants():
-    result = derive_case2_betti()
+    result = derive_case2_betti(*CASE2_DIMS)
     aseq, bseq = BettiSeq(result["a"]), BettiSeq(result["b"])
     assert aseq.is_palindromic() and bseq.is_palindromic()
     assert aseq.is_positive() and bseq.is_positive()
@@ -137,17 +185,110 @@ def test_derive_case2_betti_invariants():
 
 
 def test_derive_case2_betti_step_log():
-    result = derive_case2_betti()
+    result = derive_case2_betti(*CASE2_DIMS)
     ids = [step_id for step_id, _ in result["derivation"]]
     assert ids == [
-        "connected-top",
-        "barth-larsen",
-        "low-degree-agreement",
+        "candidates",
         "poincare-duality",
-        "difference-i3",
+        "barth-larsen",
         "hard-lefschetz",
-        "difference-i2",
-        "replay-invariants",
+        "blowup-agreement",
     ]
+    details = dict(result["derivation"])
+    assert details["candidates"].endswith(": 4 pairs")
+    # what each fact removed, in order, from the 4 candidates to 1
+    assert [details[i].rsplit(": ", 1)[1] for i in ids[1:]] == [
+        "removes 0, 4 left", "removes 2, 2 left", "removes 1, 1 left", "removes 0, 1 left"]
+    assert details["barth-larsen"].startswith("a0, a1 forced to 1 (AXIOM")
     axioms = [detail for _, detail in result["derivation"] if "AXIOM" in detail]
     assert len(axioms) == 2
+    assert axioms == [details["barth-larsen"], details["hard-lefschetz"]]
+
+
+@pytest.mark.parametrize("dims, a, b, rows", [
+    # the formula gives a5 = b2 - b1, negative for b1 = 2 and b2 = 1, so 3
+    # of the 4 b are candidates; duality removes 2 of them
+    ((9, 5, 4), [1, 1, 2, 2, 1, 1], [1, 1, 2, 1, 1],
+     {"candidates": ": 3 pairs", "poincare-duality": ": removes 2, 1 left",
+      "barth-larsen": "a0 forced to 1 (AXIOM: 2i <= 2m - n): removes 0, 1 left"}),
+    # b = (1, 2, 1) gives the positive a = (1, 2, 1, 1), which is not a
+    # palindrome; no entry is forced, as 2i <= 2*3 - 7 never holds
+    ((7, 3, 2), [1, 1, 1, 1], [1, 1, 1],
+     {"candidates": ": 2 pairs", "poincare-duality": ": removes 1, 1 left",
+      "barth-larsen": "no entry forced to 1 (AXIOM: 2i <= 2m - n): removes 0, 1 left"}),
+])
+def test_derivation_on_other_dimensions(dims, a, b, rows):
+    result = derive_case2_betti(*dims)
+    assert (result["a"], result["b"]) == (a, b)
+    details = dict(result["derivation"])
+    for step_id, ending in rows.items():
+        assert details[step_id].endswith(ending)
+    assert _relation_via_blowup(BettiSeq(a), BettiSeq(b), *dims)
+
+
+def test_agreement_is_checked_at_every_degree(monkeypatch):
+    # a second center whose blow-up differed from the first's only at
+    # k = n, above the degrees k = 1..m1+1 that fix a
+    formula = betti.blowup_even_betti
+    n, _, m2 = CASE2_DIMS
+    monkeypatch.setattr(betti, "blowup_even_betti", lambda center, n_, m, k:
+                        formula(center, n_, m, k) + (m == m2 and k == n))
+    with pytest.raises(ValueError, match=r"^0 \(a, b\) pairs survive"):
+        derive_case2_betti(*CASE2_DIMS)
+
+
+def _palindromes(m: int, top: int):
+    """Every palindromic sequence of length m + 1 with entries in 1..top."""
+    return [BettiSeq(v) for v in itertools.product(range(1, top + 1), repeat=m + 1)
+            if v == v[::-1]]
+
+
+def _barth_larsen(seq: BettiSeq, n: int) -> bool:
+    return all(seq.at(i) == 1 for i in range(seq.dim + 1) if barth_larsen_forced(n, seq.dim, i))
+
+
+def _hard_lefschetz(seq: BettiSeq) -> bool:
+    return all(seq.at(i) <= seq.at(i + 1) for i in range(seq.dim // 2))
+
+
+def _naive_pairs(use_barth_larsen: bool) -> set:
+    """Brute search over palindromic a, b with entries in 1..6, filtered
+    directly by the blow-up agreement and the imported facts."""
+    n, m1, m2 = CASE2_DIMS
+    keep = [[s for s in _palindromes(m, 6)
+             if _hard_lefschetz(s) and (_barth_larsen(s, n) or not use_barth_larsen)]
+            for m in (m1, m2)]
+    return {(a.values, b.values) for a in keep[0] for b in keep[1]
+            if _relation_via_blowup(a, b, n, m1, m2)}
+
+
+def test_naive_search_finds_only_the_derived_pair():
+    assert _naive_pairs(use_barth_larsen=True) == {DERIVED}
+    result = derive_case2_betti(*CASE2_DIMS)
+    assert (tuple(result["a"]), tuple(result["b"])) == DERIVED
+
+
+def test_pair_is_not_unique_without_barth_larsen():
+    pairs = _naive_pairs(use_barth_larsen=False)
+    assert DERIVED in pairs and len(pairs) > 1
+    # among them the one the derivation's own search (entries up to 2) keeps
+    assert ((1, 2, 3, 4, 3, 2, 1), (1, 2, 2, 2, 1)) in pairs
+
+
+@pytest.mark.parametrize("forced, survivors", [
+    (False, 2),  # Barth-Larsen off: two pairs pass Hard Lefschetz
+    (True, 0),  # every entry forced to 1: a3 = b3 + b1 = 2 never passes
+])
+def test_no_unique_pair_fails_the_step(monkeypatch, forced, survivors):
+    monkeypatch.setattr(betti, "barth_larsen_forced", lambda n, m, i: forced)
+    with pytest.raises(ValueError, match=f"^{survivors} \\(a, b\\) pairs survive"):
+        derive_case2_betti(*CASE2_DIMS)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert run_cli(["verify", "--json"]) == 1
+    document = json.loads(out.getvalue())
+    steps = {s["id"]: s for s in document["steps"]}
+    assert steps["case2-betti"]["status"] == "fail"
+    assert steps["case2-betti"]["witness"]["error"].startswith(f"{survivors} (a, b) pairs survive")
+    assert [s["id"] for s in document["steps"] if s["status"] == "fail"] == ["case2-betti"]
+    assert document["conclusion"] == "refuted at step case2-betti"

@@ -362,8 +362,11 @@ def test_range_below_floor_is_usage_error(argv, message, capsys):
     # the scan is split into K chunks, so K must be positive
     (["verify", "--threads", "0"], "argument --threads: need K >= 1, got 0"),
     (["verify", "--threads", "-3"], "argument --threads: need K >= 1, got -3"),
+    # a --deg past the int-string limit is named by its length, not echoed
+    (["eval", "--n", "9", "--m", "4", "--deg", "9" * 5000, "H^9"],
+     "--deg is too long: a 5000-digit integer"),
 ])
-def test_bad_option_is_one_line_usage_error(argv, message, capsys):
+def test_bad_option_is_one_line_usage_error(argv, message, capsys, int_str_limit):
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -60,10 +60,6 @@ ALLOWED = {
     "poly.Poly.__add__",
     "poly.Poly.__mul__",
     "poly.Poly.const",
-    # the blow-up formula that the case-2 Betti sequences are to be derived
-    # from (ROADMAP.md, the open item on deriving the evidence steps)
-    "betti.blowup_even_betti",
-    "betti.BettiSeq.dim",
     # exception constructors that run only when a check fails
     "lattice.ConstraintViolation.__init__",
     "ringeval.InconsistentSystem.__init__",
