@@ -21,7 +21,7 @@ import math
 from .betti import check_betti_gate, derive_case2_betti
 from .constraints import chain, check_degree_bound, katz_cd
 from .evaluate import eval_expr
-from .lattice import LatticeParams, solve_basis_change
+from .lattice import apply, canonical_class, inverse, solve_basis_change
 from .parser import parse_expr
 from .ringeval import IntersectionTable, NotIntegral, solve_unknowns
 from .scan import BASE_N_MAX, scan_chunk
@@ -38,20 +38,6 @@ def scan_backend() -> str:
 # Every chunk of the scan calls the kernel through this module-level name,
 # so a caller can wrap it in one place (perfbench does).
 _scan_range = scan_chunk
-
-
-class ConfigTuple:
-    """A surviving candidate with the names of the constraints it passed."""
-
-    __slots__ = ("n", "a", "c", "d", "m1", "m2", "provenance")
-
-    def __init__(self, n: int, a: int, c: int, d: int, m1: int, m2: int,
-                 provenance: tuple[str, ...] = ()):
-        self.n, self.a, self.c, self.d, self.m1, self.m2 = n, a, c, d, m1, m2
-        self.provenance = provenance
-
-    def as_tuple(self) -> tuple[int, int, int, int, int, int]:
-        return (self.n, self.a, self.c, self.d, self.m1, self.m2)
 
 
 class ExclusionFailure(RuntimeError):
@@ -111,26 +97,25 @@ def closed_form_dims(n: int) -> tuple[int, int] | None:
     return None if m1_rest or m2_rest else (m1, m2)
 
 
-def _attribute(raw: tuple) -> ConfigTuple:
+def _attribute(raw: tuple) -> tuple[int, int, int, int, int, int]:
     """Re-verify a kernel survivor against the named predicates, on the
-    domain that `constraints.chain` takes as its premise."""
+    domain that `constraints.chain` takes as its premise, and return it."""
     n, a, c, d, m1, m2 = raw
     if not 1 <= m2 < m1 <= n - 2:
         raise RuntimeError(f"kernel survivor {raw} is outside the domain 1 <= m2 < m1 <= n-2")
     if katz_cd(n, a, m1, m2) != (c, d):
         raise RuntimeError(f"kernel survivor {raw} does not reproduce under katz_cd")
-    passed = []
     for cid, holds in chain(n, a, c, d, m1, m2):
         if not holds:
             raise RuntimeError(f"kernel survivor {raw} fails predicate {cid}")
-        passed.append(cid)
-    return ConfigTuple(n, a, c, d, m1, m2, provenance=tuple(passed))
+    return n, a, c, d, m1, m2
 
 
-def enumerate_candidates(n_max: int, workers: int = 1) -> list[ConfigTuple]:
-    """All tuples with 4 <= n <= n_max passing the full constraint chain,
-    sorted by (n, a, m1). The lemmas of scan.visits leave no survivor
-    above BASE_N_MAX, so only 4..min(n_max, BASE_N_MAX) is scanned.
+def enumerate_candidates(n_max: int, workers: int = 1) -> list[tuple[int, ...]]:
+    """All tuples (n, a, c, d, m1, m2) with 4 <= n <= n_max passing the
+    full constraint chain, sorted by (n, a, m1). The lemmas of
+    scan.visits leave no survivor above BASE_N_MAX, so only
+    4..min(n_max, BASE_N_MAX) is scanned.
     That range is split into at most `workers` chunks of equal width,
     scanned one after another in this process; any split yields the same
     list, and no split makes more chunks than the range has values of n."""
@@ -154,35 +139,15 @@ def _case2_system():
     entry above its codimension n - m2, m2 = 4 of them, so the system is
     square."""
     n, a, c, d, m1, m2 = CASE2
-    bc = solve_basis_change(LatticeParams(a=a, c=c, d=d))
+    m11, m12, m21, m22 = solve_basis_change(a, c, d)
     table1 = IntersectionTable(n, m1, "d1")
     equations = []
     for k in range(n - m1 + 1):
-        text = f"({bc.m11}H {bc.m12:+d}E)^{n - k} ({bc.m21}H {bc.m22:+d}E)^{k}"
+        text = f"({m11}H {m12:+d}E)^{n - k} ({m21}H {m22:+d}E)^{k}"
         required = table1.entry(k)
         assert required.is_constant()
         equations.append((eval_expr(parse_expr(text), n, m2, "d2"), required.constant))
     return equations
-
-
-def _largest_square_free_part(n: int) -> tuple[int, list[int]]:
-    """(largest x with x^2 | n, sorted prime factors of n)."""
-    primes = []
-    square = 1
-    rest = n
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            exp = 0
-            while rest % p == 0:
-                rest //= p
-                exp += 1
-            primes.append(p)
-            square *= p ** (exp // 2)
-        p += 1
-    if rest > 1:
-        primes.append(rest)
-    return square, primes
 
 
 def _eval_terms(terms: dict[tuple[int, int], int], d1: int, d2: int) -> int:
@@ -242,13 +207,13 @@ def exclude_case2() -> dict:
     if resultant == 0:
         raise ExclusionFailure("modular elimination is vacuous")
 
-    alpha_bound, primes = _largest_square_free_part(resultant)
-    if alpha_bound != 1:
+    # the divisors above 1, in order: the primes are those with no smaller
+    # divisor among them, and a square divisor would leave room for alpha
+    betas = [k for k in range(2, resultant + 1) if resultant % k == 0]
+    if any(resultant % (k * k) == 0 for k in betas):
         raise ExclusionFailure(f"{resultant} is not squarefree; alpha not forced to 1")
     alpha = 1
-    betas = sorted(
-        k for k in range(2, resultant + 1) if resultant % k == 0
-    )
+    primes = [p for p in betas if all(p % q for q in betas if q < p)]
     steps.append(("alpha-beta", f"alpha = 1, beta in {betas} (primes {primes})"))
 
     # the least integer at or above (d/a)^(n-m2), so that an integral d2
@@ -299,29 +264,22 @@ def _check_lattice_symbolics() -> dict:
     The round trip runs in integers on the probe 6 * (3/2, -7/3) =
     (9, -14): the basis change and its inverse are linear, so the probe
     (3/2, -7/3) comes back unchanged if and only if six times it does."""
-    from .lattice import GeometryParams, canonical_class
-
-    h, e = 9, -14
+    probe = (9, -14)
     checked = 0
     for a in range(1, 6):
         for c in range(1, 8):
             for d in range(1, 8):
                 if (c * d - 1) % a:
                     continue
-                lp = LatticeParams(a=a, c=c, d=d)
-                bc = solve_basis_change(lp)
-                if bc.determinant() != -1:
+                m = solve_basis_change(a, c, d)
+                if m[0] * m[3] - m[1] * m[2] != -1:
                     return {"checked": checked, "failure": f"det != -1 at {(a, c, d)}"}
-                inv = bc.inverse()
-                h2, e2 = h * bc.m11 + e * bc.m21, h * bc.m12 + e * bc.m22
-                if (h2 * inv.m11 + e2 * inv.m21, h2 * inv.m12 + e2 * inv.m22) != (h, e):
+                if apply(inverse(m), *apply(m, *probe)) != probe:
                     return {"checked": checked, "failure": f"round trip at {(a, c, d)}"}
                 checked += 1
     for n, a, c, d, m1, m2 in (CASE1, CASE2):
-        gp = GeometryParams(n=n, m1=m1, m2=m2)
-        lp = LatticeParams(a=a, c=c, d=d)
-        bc = solve_basis_change(lp)
-        if bc.apply(canonical_class(1, gp)) != canonical_class(2, gp):
+        m = solve_basis_change(a, c, d)
+        if apply(m, *canonical_class(n, m1)) != canonical_class(n, m2):
             return {"checked": checked, "failure": f"canonical class at n={n}"}
         checked += 1
     return {"checked": checked, "failure": None}
@@ -379,8 +337,7 @@ def verify_main_theorem(n_max: int = 200, ineq_max: int = 100000, workers: int =
         {"stride": 4, "range": [19, ineq_hi], "violations": probe_violations},
     )
 
-    survivors = enumerate_candidates(BASE_N_MAX, workers=workers)
-    tuples = [s.as_tuple() for s in survivors]
+    tuples = enumerate_candidates(BASE_N_MAX, workers=workers)
     extras = [t for t in tuples if t not in (CASE1, CASE2)]
     add(
         "theorem-2case",

@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .classify import enumerate_candidates, exclude_case2, scan_backend, verify_main_theorem
-from .parser import ParseError, parse_expr
+from .parser import ParseError, parse_expr, quote
 from .evaluate import eval_expr
 
 
@@ -134,11 +134,11 @@ def run_cli(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             return _usage_error(exc)
         if args.json:
-            doc = {"n_max": args.n_max, "survivors": [list(s.as_tuple()) for s in survivors]}
+            doc = {"n_max": args.n_max, "survivors": [list(s) for s in survivors]}
             sys.stdout.write(json.dumps(doc, indent=2) + "\n")
         else:
-            for s in survivors:
-                print(f"n={s.n} a={s.a} c={s.c} d={s.d} m1={s.m1} m2={s.m2}")
+            for n, a, c, d, m1, m2 in survivors:
+                print(f"n={n} a={a} c={c} d={d} m1={m1} m2={m2}")
             print(f"{len(survivors)} survivor(s) for n <= {args.n_max}")
         return 0
 
@@ -154,7 +154,7 @@ def run_cli(argv: list[str] | None = None) -> int:
                 deg = 0
             if deg <= 0:
                 return _usage_error(
-                    f"--deg must be a positive integer, d1, or d2, got {args.deg!r}")
+                    f"--deg must be a positive integer, d1, or d2, got {quote(args.deg)}")
         if not 1 <= args.m <= args.n - 2:
             return _usage_error(f"need 1 <= m <= n-2, got n={args.n}, m={args.m}")
         try:

@@ -71,7 +71,7 @@ def chain(n: int, a: int, c: int, d: int, m1: int, m2: int) -> Iterator[tuple[st
       6. (deleted: the congruences on the center dimensions),
       7. the size estimate a^(e2-1)*e2*e1 < N^2, implied by links 5 and 8,
       8. eh-divisibility: a^(n-m2) | cd-1.
-    The pairs come in ConfigTuple.provenance's order: 5, 8, 1.
+    The pairs come in the order 5, 8, 1.
 
     Every clause dropped from links 2 and 5-8 is implied. Link 4 gives
     c*e1 + e2 = a*N and d*e2 + e1 = a*N. Then:

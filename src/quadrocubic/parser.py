@@ -21,6 +21,18 @@ has built it, and nodes define no equality, hash or printing of their own.
 from __future__ import annotations
 
 
+# The longest input text that an error message quotes in full.
+ECHO_MAX = 80
+
+
+def quote(text: str) -> str:
+    """repr(text), or for text longer than ECHO_MAX characters the repr of
+    its first ECHO_MAX and its length, so that an error line stays short."""
+    if len(text) <= ECHO_MAX:
+        return repr(text)
+    return f"{text[:ECHO_MAX]!r}... ({len(text)} characters)"
+
+
 class ParseError(ValueError):
     """Syntax error with 1-based column position and expected tokens."""
 
@@ -160,14 +172,14 @@ class _Parser:
     def expect_op(self, op: str):
         kind, value, col = self.peek()
         if kind != "op" or value != op:
-            raise ParseError(col, (repr(op),), repr(value) if value else "end of input")
+            raise ParseError(col, (repr(op),), quote(value) if value else "end of input")
         return self.advance()
 
     def parse(self) -> Node:
         node = self.expr()
         kind, value, col = self.peek()
         if kind != "end":
-            raise ParseError(col, ("'+'", "'-'", "'*'", "end of input"), repr(value))
+            raise ParseError(col, ("'+'", "'-'", "'*'", "end of input"), quote(value))
         return node
 
     def expr(self) -> Node:
@@ -208,7 +220,7 @@ class _Parser:
             self.advance()
             kind, value, col = self.peek()
             if kind != "uint":
-                raise ParseError(col, ("unsigned integer",), repr(value) or "end of input")
+                raise ParseError(col, ("unsigned integer",), quote(value) if value else "end of input")
             self.advance()
             return Pow(node, _uint(value, col))
         return node
@@ -219,7 +231,7 @@ class _Parser:
             self.advance()
             kind, value, col = self.peek()
             if kind != "uint":
-                raise ParseError(col, ("unsigned integer",), repr(value) or "end of input")
+                raise ParseError(col, ("unsigned integer",), quote(value) if value else "end of input")
             self.advance()
             return IntLit(-_uint(value, col))
         if kind == "uint":
@@ -232,7 +244,7 @@ class _Parser:
             if value in ("d1", "d2"):
                 self.advance()
                 return Sym(value)
-            raise ParseError(col, ("'H'", "'E'", "'d1'", "'d2'"), repr(value))
+            raise ParseError(col, ("'H'", "'E'", "'d1'", "'d2'"), quote(value))
         if kind == "op" and value == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(col, (f"at most {MAX_NESTING} nested groups",),
@@ -246,7 +258,7 @@ class _Parser:
         raise ParseError(
             col,
             ("integer", "'H'", "'E'", "'d1'", "'d2'", "'('"),
-            repr(value) if value else "end of input",
+            quote(value) if value else "end of input",
         )
 
 

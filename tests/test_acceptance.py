@@ -20,7 +20,7 @@ from quadrocubic.classify import (
 from quadrocubic.cli import run_cli
 from quadrocubic.constraints import katz_cd
 from quadrocubic.evaluate import eval_expr
-from quadrocubic.lattice import DivisorClass, LatticeParams, solve_basis_change
+from quadrocubic.lattice import apply, inverse, solve_basis_change
 from quadrocubic.parser import parse_expr
 from quadrocubic.poly import Poly
 from quadrocubic.ringeval import IntersectionTable, solve_unknowns
@@ -44,7 +44,7 @@ def _verdict(num, description, ok):
 
 
 def test_criterion_1_two_case_reproduction():
-    survivors = [s.as_tuple() for s in enumerate_candidates(200)]
+    survivors = enumerate_candidates(200)
     ok = survivors == [CASE1, CASE2]
     assert _verdict(1, "two-case reproduction at n_max=200", ok)
 
@@ -182,12 +182,10 @@ def test_criterion_8_property_suites():
         d = rng.randint(1, 30)
         if (c * d - 1) % a:
             continue
-        bc = solve_basis_change(LatticeParams(a=a, c=c, d=d))
-        lattice_ok &= bc.determinant() == -1
+        m11, m12, m21, m22 = m = solve_basis_change(a, c, d)
+        lattice_ok &= m11 * m22 - m12 * m21 == -1
         h, e = rng.randint(-9, 9), rng.randint(-9, 9)
-        image, inv = bc.apply(DivisorClass(1, h, e)), bc.inverse()
-        lattice_ok &= (image.h * inv.m11 + image.e * inv.m21,
-                       image.h * inv.m12 + image.e * inv.m22) == (h, e)
+        lattice_ok &= apply(inverse(m), *apply(m, h, e)) == (h, e)
 
     parser_ok = True
     for _ in range(1000):

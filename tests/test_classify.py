@@ -1,6 +1,7 @@
 """Tests for the classification pipeline and the case-2 exclusion."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from quadrocubic.classify import (
 )
 from quadrocubic import classify, constraints, scan
 from quadrocubic.constraints import check_degree_bound
-from quadrocubic.lattice import BasisChange
 from quadrocubic.poly import Poly
 from quadrocubic.scan import BASE_N_MAX, scan_chunk, visits
 
@@ -152,29 +152,40 @@ def test_closed_form_dims():
 
 
 def test_enumerate_floor():
-    assert [s.as_tuple() for s in enumerate_candidates(4)] == [CASE1]
+    assert enumerate_candidates(4) == [CASE1]
     with pytest.raises(ValueError):
         enumerate_candidates(3)
 
 
 def test_enumerate_full_range():
-    survivors = enumerate_candidates(200)
-    assert [s.as_tuple() for s in survivors] == [CASE1, CASE2]
-    for s in survivors:
-        assert "katz-consistency" in s.provenance
-        assert "eh-divisibility" in s.provenance
+    assert enumerate_candidates(200) == [CASE1, CASE2]
+
+
+@pytest.mark.parametrize("predicate, value, link", [
+    ("check_katz_consistency", False, "katz-consistency"),
+    ("check_eh_divisibility", False, "eh-divisibility"),
+    ("check_betti_gate", True, "cohomology-gate"),  # the gate on rejects m2 = 4
+])
+def test_attribute_names_the_link_a_survivor_fails(monkeypatch, predicate, value, link):
+    # a survivor comes back as it went in; one that fails a link of the
+    # chain is refused with that link's name
+    assert _attribute(CASE2) == CASE2
+    monkeypatch.setattr(constraints, predicate, lambda *args: value)
+    with pytest.raises(RuntimeError, match=f"^kernel survivor {re.escape(str(CASE2))} "
+                                           f"fails predicate {link}$"):
+        _attribute(CASE2)
 
 
 def test_enumerate_sorted_by_n_a_m1():
     survivors = enumerate_candidates(200)
-    keys = [(s.n, s.a, s.m1) for s in survivors]
+    keys = [(n, a, m1) for n, a, _, _, m1, _ in survivors]
     assert keys == sorted(keys)
 
 
 def test_partition_independence():
-    sequential = [s.as_tuple() for s in enumerate_candidates(60)]
+    sequential = enumerate_candidates(60)
     for workers in (2, 3, 5):
-        parallel = [s.as_tuple() for s in enumerate_candidates(60, workers=workers)]
+        parallel = enumerate_candidates(60, workers=workers)
         assert parallel == sequential
 
 
@@ -194,7 +205,7 @@ def test_enumerate_two_workers_scans_two_chunks_in_turn(monkeypatch):
     # the base 4..BASE_N_MAX is split into equal-width chunks, in order
     chunks = _spy_scan_range(monkeypatch)
     survivors = enumerate_candidates(200, workers=2)
-    assert [s.as_tuple() for s in survivors] == [CASE1, CASE2]
+    assert survivors == [CASE1, CASE2]
     assert chunks == [(4, 11), (12, 18)]
 
 
@@ -203,7 +214,7 @@ def test_enumerate_huge_range_and_workers_is_bounded(monkeypatch):
     # where splitting 4..10^12 into 10^9 chunks would build about 10^9 of them
     chunks = _spy_scan_range(monkeypatch)
     survivors = enumerate_candidates(10**12, workers=10**9)
-    assert [s.as_tuple() for s in survivors] == [CASE1, CASE2]
+    assert survivors == [CASE1, CASE2]
     assert chunks == [(n, n) for n in range(4, BASE_N_MAX + 1)]
 
 
@@ -378,8 +389,8 @@ def test_attribute_rejects_tuples_outside_the_domain():
 
 
 def test_enumerate_large_n():
-    assert [s.as_tuple() for s in enumerate_candidates(1000)] == [CASE1, CASE2]
-    assert [s.as_tuple() for s in enumerate_candidates(10**4)] == [CASE1, CASE2]
+    assert enumerate_candidates(1000) == [CASE1, CASE2]
+    assert enumerate_candidates(10**4) == [CASE1, CASE2]
 
 
 def test_scan_backend_reported():
@@ -405,6 +416,27 @@ def test_exclude_case2_witness():
         "degree-bound",
         "brute-scan",
     ]
+
+
+def test_exclude_case2_primes_come_from_the_divisors():
+    detail = dict(exclude_case2()["chain"])["alpha-beta"]
+    assert detail == "alpha = 1, beta in [7, 17, 119] (primes [7, 17])"
+
+
+def test_exclude_case2_refuses_a_square_divisor(monkeypatch):
+    # y's constant -399 + 56 gives k | 14*37 - 343 = 175 = 5^2 * 7, which
+    # leaves room for alpha = 5
+    solve = classify.solve_unknowns
+
+    def shifted(equations):
+        solution = solve(equations)
+        solution["u7"] = solution["u7"] + Poly({(0, 0): 56})
+        return solution
+
+    monkeypatch.setattr(classify, "solve_unknowns", shifted)
+    with pytest.raises(classify.ExclusionFailure,
+                       match=r"^175 is not squarefree; alpha not forced to 1$"):
+        exclude_case2()
 
 
 def test_exclude_case2_solved_values():
@@ -477,13 +509,13 @@ def test_lattice_symbolics_witness():
 
 
 def test_lattice_symbolics_catches_a_wrong_inverse(monkeypatch):
-    inverse = BasisChange.inverse
+    inverse = classify.inverse
 
-    def off_by_one(self):
-        inv = inverse(self)
-        return BasisChange(inv.m11 + 1, inv.m12, inv.m21, inv.m22)
+    def off_by_one(m):
+        m11, m12, m21, m22 = inverse(m)
+        return m11 + 1, m12, m21, m22
 
-    monkeypatch.setattr(BasisChange, "inverse", off_by_one)
+    monkeypatch.setattr(classify, "inverse", off_by_one)
     assert classify._check_lattice_symbolics() == {
         "checked": 0, "failure": "round trip at (1, 1, 1)"}
 
@@ -616,4 +648,4 @@ def test_scan_never_evaluates_the_inequality(monkeypatch):
 
     monkeypatch.setattr("quadrocubic.classify.a1_inequality_holds", refuse)
     survivors = enumerate_candidates(30)
-    assert [s.as_tuple() for s in survivors] == [CASE1, CASE2]
+    assert survivors == [CASE1, CASE2]

@@ -365,6 +365,11 @@ def test_range_below_floor_is_usage_error(argv, message, capsys):
     # a --deg past the int-string limit is named by its length, not echoed
     (["eval", "--n", "9", "--m", "4", "--deg", "9" * 5000, "H^9"],
      "--deg is too long: a 5000-digit integer"),
+    # any other long argument is echoed as its first 80 characters and its length
+    (["eval", "--n", "9", "--m", "4", "--deg", "x" * 5000, "H^9"],
+     f"--deg must be a positive integer, d1, or d2, got '{'x' * 80}'... (5000 characters)"),
+    (["eval", "--n", "9", "--m", "4", "--deg", "2", "H" * 5000],
+     f"column 1: expected 'H' or 'E' or 'd1' or 'd2', found '{'H' * 80}'... (5000 characters)"),
 ])
 def test_bad_option_is_one_line_usage_error(argv, message, capsys, int_str_limit):
     assert run_cli(argv) == 2

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from quadrocubic.parser import (
+    ECHO_MAX,
     Add,
     Gen,
     Group,
@@ -139,6 +140,23 @@ def test_overlong_integer_is_parse_error(int_str_limit):
             parse_expr(text)
         assert info.value.column == column
         assert info.value.found == "5000-digit integer"
+
+
+def test_long_token_is_clipped_in_the_error():
+    # a token of up to ECHO_MAX characters is quoted whole, a longer one
+    # as its first ECHO_MAX characters and its length
+    for length, found in ((ECHO_MAX, repr("Q" * ECHO_MAX)),
+                          (ECHO_MAX + 1, f"{'Q' * ECHO_MAX!r}... ({ECHO_MAX + 1} characters)")):
+        with pytest.raises(ParseError) as info:
+            parse_expr("H^3 " + "Q" * length)
+        assert (info.value.column, info.value.found) == (5, found)
+
+
+def test_missing_exponent_is_found_at_end_of_input():
+    for text, column in (("H^", 3), ("2H - -", 7)):
+        with pytest.raises(ParseError) as info:
+            parse_expr(text)
+        assert (info.value.column, info.value.found) == (column, "end of input")
 
 
 def test_pow_negative_exponent_rejected():

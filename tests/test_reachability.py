@@ -61,7 +61,6 @@ ALLOWED = {
     "poly.Poly.__mul__",
     "poly.Poly.const",
     # exception constructors that run only when a check fails
-    "lattice.ConstraintViolation.__init__",
     "ringeval.InconsistentSystem.__init__",
     "ringeval.NotIntegral.__init__",
     "ringeval.RankDeficient.__init__",

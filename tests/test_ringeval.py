@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from quadrocubic.evaluate import eval_expr
-from quadrocubic.lattice import LatticeParams, solve_basis_change
+from quadrocubic.lattice import solve_basis_change
 from quadrocubic.parser import parse_expr
 from quadrocubic.poly import Poly
 from quadrocubic.ringeval import (
@@ -55,8 +55,8 @@ def solution_terms(solution):
 
 def _case2_factors(k):
     """(h, e, exp) for (2H - E)^(9-k) (5H - 3E)^k, from the basis change."""
-    bc = solve_basis_change(LatticeParams(a=1, c=3, d=2))
-    return [(bc.m11, bc.m12, 9 - k), (bc.m21, bc.m22, k)]
+    m11, m12, m21, m22 = solve_basis_change(1, 3, 2)
+    return [(m11, m12, 9 - k), (m21, m22, k)]
 
 
 def _product_text(factors):
