@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .classify import enumerate_candidates, exclude_case2, scan_backend, verify_main_theorem
-from .parser import ParseError, parse_expr, quote
+from .parser import ECHO_MAX, ParseError, parse_expr, quote
 from .evaluate import eval_expr
 
 
@@ -64,8 +64,18 @@ def _emit(document: dict, as_json: bool, path: str | None):
 
 
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        self.argv = sys.argv[1:] if args is None else list(args)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
-        """A bad option is a usage error: one line on stderr, exit 2."""
+        """A bad option is a usage error: one line on stderr, exit 2. An
+        argument, or the value after its '=', that is longer than ECHO_MAX
+        characters is echoed as `quote` clips it."""
+        for arg in self.argv:
+            for text in (arg, arg.partition("=")[2]):
+                if len(text) > ECHO_MAX:
+                    message = message.replace(repr(text), quote(text)).replace(text, quote(text))
         self.exit(2, f"error: {message}\n")
 
 

@@ -8,7 +8,7 @@ Every coefficient is an int.
 
 from __future__ import annotations
 
-from .parser import Add, Gen, Group, IntLit, Mul, Node, Pow, Sub, Sym
+from .parser import Node
 from .poly import Poly
 from .ringeval import DegreeMismatch, IntersectionTable, LinearForm
 
@@ -58,35 +58,37 @@ def _mul(p: Expansion, q: Expansion, n: int) -> Expansion:
     return {key: coeff for key, coeff in out.items() if coeff}
 
 
+# the key of each leaf's one term
+_LEAVES = {"H": (1, 0, 0, 0), "E": (1, 1, 0, 0), "d1": (0, 0, 1, 0), "d2": (0, 0, 0, 1)}
+
+
 def _expand(node: Node, n: int) -> Expansion:
     """Expand the expression. A power whose degree would exceed n is
     rejected before any multiplication, and the others are raised by
     squaring, so a power k costs at most 2*log2(k) products. `_mul`
     rejects a product with any part above degree n before expanding it."""
-    if isinstance(node, IntLit):
-        return {(0, 0, 0, 0): node.value} if node.value else {}
-    if isinstance(node, Gen):
-        return {(1, 0, 0, 0) if node.name == "H" else (1, 1, 0, 0): 1}
-    if isinstance(node, Sym):
-        return {(0, 0, 1, 0) if node.name == "d1" else (0, 0, 0, 1): 1}
-    if isinstance(node, Group):
-        return _expand(node.inner, n)
-    if isinstance(node, Pow):
-        base = _expand(node.base, n)
+    if type(node) is int:
+        return {(0, 0, 0, 0): node} if node else {}
+    if type(node) is str:
+        return {_LEAVES[node]: 1}
+    kind = node[0]
+    if kind == "pow":
+        _, base, exponent = node
+        base = _expand(base, n)
         top = max(base)[0] if base else 0
-        if node.exponent > n:
+        if exponent > n:
             if top:
                 raise DegreeMismatch(
-                    f"exponent {node.exponent} exceeds n = {n} on a base of positive degree"
+                    f"exponent {exponent} exceeds n = {n} on a base of positive degree"
                 )
-            raise ValueError(f"exponent {node.exponent} exceeds n = {n} on a scalar base")
-        if top * node.exponent > n:
+            raise ValueError(f"exponent {exponent} exceeds n = {n} on a scalar base")
+        if top * exponent > n:
             # the degree that multiplying by the base one factor at a time
             # would reach first
             raise DegreeMismatch(f"expected homogeneous degree {n}, "
                                  f"found a product of degree {(n // top + 1) * top}")
         result: Expansion = {(0, 0, 0, 0): 1}
-        k = node.exponent
+        k = exponent
         while k:
             if k & 1:
                 result = _mul(result, base, n)
@@ -94,32 +96,21 @@ def _expand(node: Node, n: int) -> Expansion:
             if k:
                 base = _mul(base, base, n)
         return result
-    if isinstance(node, Mul):
-        # the parser nests a product to the left, one level per factor, so
-        # fold the chain in a loop, multiplying from the left as written
-        rights = []
-        while isinstance(node, Mul):
-            rights.append(node.right)
-            node = node.left
-        result = _expand(node, n)
-        for right in reversed(rights):
-            result = _mul(result, _expand(right, n), n)
+    if kind == "mul":
+        # multiply from the left as written, each factor expanded just
+        # before it is multiplied in
+        result = _expand(node[1], n)
+        for factor in node[2:]:
+            result = _mul(result, _expand(factor, n), n)
         return result
-    if isinstance(node, (Add, Sub)):
-        # A sum nests to the left too. When several terms are at fault, the
-        # order the terms expand in decides which one the error names, and
-        # that order is kept: the right side of a '-' expands before all
-        # that is left of it, the right side of a '+' after.
-        first: list[tuple[int, Node]] = []
-        last: list[tuple[int, Node]] = []
-        while isinstance(node, (Add, Sub)):
-            if isinstance(node, Sub):
-                first.append((-1, node.right))
-            else:
-                last.append((1, node.right))
-            node = node.left
+    if kind == "sum":
+        # When several terms are at fault, the order the terms expand in
+        # decides which one the error names: the subtracted terms expand
+        # first, the last of them first, then the first term and the added
+        # terms as written.
+        terms = node[1:]
         total: Expansion = {}
-        for sign, term in first + [(1, node)] + last[::-1]:
+        for sign, term in [t for t in terms[::-1] if t[0] < 0] + [t for t in terms if t[0] > 0]:
             for key, coeff in _expand(term, n).items():
                 total[key] = total.get(key, 0) + sign * coeff
         return {key: coeff for key, coeff in total.items() if coeff}

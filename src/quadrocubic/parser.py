@@ -13,9 +13,16 @@ Juxtaposition of factors denotes multiplication, so expressions like
 "(2H-E)^8 (5H-3E)" paste straight in. Whitespace is insignificant; '*'
 between a coefficient and a generator is optional.
 
-`parse_expr` returns the AST as plain `__slots__` records (IntLit, Gen,
-Sym, Group, Pow, Mul, Add, Sub). Nothing changes a node once the parser
-has built it, and nodes define no equality, hash or printing of their own.
+`parse_expr` returns the tree as plain data, a node being one of:
+    an int                       an integer literal
+    'H', 'E', 'd1' or 'd2'       a generator or a degree symbol
+    ('pow', base, k)             base^k, k >= 0
+    ('mul', f1, f2, ...)         a product of two or more factors, as written
+    ('sum', (1, t1), (s2, t2), ...)
+                                 t1 + s2*t2 + ..., each sign s 1 or -1
+A term of one factor, a sum of one term and a parenthesised group are
+their child. A tree is a few tuples deep per nested group, so `==`,
+`hash` and `repr` work on it as on any tuple.
 """
 
 from __future__ import annotations
@@ -45,74 +52,12 @@ class ParseError(ValueError):
         )
 
 
-class IntLit:
-    __slots__ = ("value",)
-
-    def __init__(self, value: int):
-        self.value = value
-
-
-class Gen:
-    __slots__ = ("name",)  # 'H' or 'E'
-
-    def __init__(self, name: str):
-        self.name = name
-
-
-class Sym:
-    __slots__ = ("name",)  # 'd1' or 'd2'
-
-    def __init__(self, name: str):
-        self.name = name
-
-
-class Group:
-    __slots__ = ("inner",)
-
-    def __init__(self, inner: "Node"):
-        self.inner = inner
-
-
-class Pow:
-    __slots__ = ("base", "exponent")
-
-    def __init__(self, base: "Node", exponent: int):
-        if exponent < 0:
-            raise ValueError("exponent must be nonnegative")
-        self.base = base
-        self.exponent = exponent
-
-
-class Mul:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: "Node", right: "Node"):
-        self.left = left
-        self.right = right
-
-
-class Add:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: "Node", right: "Node"):
-        self.left = left
-        self.right = right
-
-
-class Sub:
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: "Node", right: "Node"):
-        self.left = left
-        self.right = right
-
-
-Node = IntLit | Gen | Sym | Group | Pow | Mul | Add | Sub
+Node = int | str | tuple
 
 _TOKEN_CHARS = set("+-*^()")
 
-# Each group costs the parser and the expander a few stack frames, so deeper
-# input is a parse error, not a RecursionError.
+# Each group costs the parser and the expander a few stack frames, and a tree
+# a few tuples of depth, so deeper input is a parse error, not a RecursionError.
 MAX_NESTING = 100
 
 
@@ -129,9 +74,9 @@ def _tokenize(text: str):
         if ch in _TOKEN_CHARS:
             yield ("op", ch, col)
             i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():  # not isdigit(): int() refuses superscripts
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             yield ("uint", text[i:j], col)
             i = j
@@ -183,35 +128,23 @@ class _Parser:
         return node
 
     def expr(self) -> Node:
-        node = self.term()
+        terms = [(1, self.term())]
         while True:
             kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if value == "+" else Sub(node, rhs)
-            else:
-                return node
-
-    def _starts_factor(self) -> bool:
-        kind, value, _ = self.peek()
-        if kind == "uint":
-            return True
-        if kind == "name":
-            return True
-        return kind == "op" and value == "("
+            if kind != "op" or value not in "+-":
+                return ("sum", *terms) if len(terms) > 1 else terms[0][1]
+            self.advance()
+            terms.append((1 if value == "+" else -1, self.term()))
 
     def term(self) -> Node:
-        node = self.factor()
+        factors = [self.factor()]
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                node = Mul(node, self.factor())
-            elif self._starts_factor():
-                node = Mul(node, self.factor())
-            else:
-                return node
+            elif kind not in ("uint", "name") and value != "(":  # no factor starts here
+                return ("mul", *factors) if len(factors) > 1 else factors[0]
+            factors.append(self.factor())
 
     def factor(self) -> Node:
         node = self.base()
@@ -222,7 +155,7 @@ class _Parser:
             if kind != "uint":
                 raise ParseError(col, ("unsigned integer",), quote(value) if value else "end of input")
             self.advance()
-            return Pow(node, _uint(value, col))
+            return ("pow", node, _uint(value, col))
         return node
 
     def base(self) -> Node:
@@ -233,17 +166,14 @@ class _Parser:
             if kind != "uint":
                 raise ParseError(col, ("unsigned integer",), quote(value) if value else "end of input")
             self.advance()
-            return IntLit(-_uint(value, col))
+            return -_uint(value, col)
         if kind == "uint":
             self.advance()
-            return IntLit(_uint(value, col))
+            return _uint(value, col)
         if kind == "name":
-            if value in ("H", "E"):
+            if value in ("H", "E", "d1", "d2"):
                 self.advance()
-                return Gen(value)
-            if value in ("d1", "d2"):
-                self.advance()
-                return Sym(value)
+                return value
             raise ParseError(col, ("'H'", "'E'", "'d1'", "'d2'"), quote(value))
         if kind == "op" and value == "(":
             if self.depth == MAX_NESTING:
@@ -254,7 +184,7 @@ class _Parser:
             inner = self.expr()
             self.expect_op(")")
             self.depth -= 1
-            return Group(inner)
+            return inner
         raise ParseError(
             col,
             ("integer", "'H'", "'E'", "'d1'", "'d2'", "'('"),
@@ -263,6 +193,6 @@ class _Parser:
 
 
 def parse_expr(text: str) -> Node:
-    """Parse an intersection monomial expression into its AST."""
+    """Parse an intersection monomial expression into its tree."""
     return _Parser(text).parse()
 

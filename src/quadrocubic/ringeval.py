@@ -217,7 +217,7 @@ def solve_unknowns(
         row: list = [0] * width + [(as_poly(required) - form.constant).terms]
         for name, coeff in form.terms.items():
             if not coeff.is_constant():
-                raise ValueError(f"coefficient of {name} is not a rational: {coeff}")
+                raise ValueError(f"coefficient of {name} is not an integer: {coeff}")
             row[index[name]] = coeff.constant_value()
         rows.append(row)
 

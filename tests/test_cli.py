@@ -300,7 +300,7 @@ def test_eval_at_the_nesting_bound(capsys):
     (1500, "*".join(["H"] * 1500), "1"),
 ], ids=["sum", "product"])
 def test_eval_long_sum_or_product(n, expr, value, capsys):
-    # the parser nests both to the left, one level per term or factor
+    # the parser reads each into one tuple of 1500 terms or factors
     assert run_cli(["eval", "--n", str(n), "--m", "1", "--deg", "1", expr]) == 0
     assert capsys.readouterr().out == value + "\n"
 
@@ -370,6 +370,19 @@ def test_range_below_floor_is_usage_error(argv, message, capsys):
      f"--deg must be a positive integer, d1, or d2, got '{'x' * 80}'... (5000 characters)"),
     (["eval", "--n", "9", "--m", "4", "--deg", "2", "H" * 5000],
      f"column 1: expected 'H' or 'E' or 'd1' or 'd2', found '{'H' * 80}'... (5000 characters)"),
+    # and so is a long argument in argparse's own errors, also after '='
+    (["eval", "--n", "x" * 5000, "--m", "4", "--deg", "2", "H^9"],
+     f"argument --n: invalid int value: '{'x' * 80}'... (5000 characters)"),
+    (["enumerate", "--n-max", "x" * 5000],
+     f"argument --n-max: invalid int value: '{'x' * 80}'... (5000 characters)"),
+    (["verify", "--threads=" + "x" * 5000],
+     f"argument --threads: invalid int value: '{'x' * 80}'... (5000 characters)"),
+    (["x" * 5000], f"argument command: invalid choice: '{'x' * 80}'... (5000 characters) "
+                   "(choose from 'verify', 'enumerate', 'eval', 'exclude-case2')"),
+    (["enumerate", "extra", "x" * 5000],
+     f"unrecognized arguments: extra '{'x' * 80}'... (5000 characters)"),
+    (["verify", "--threads", "-" + "9" * 4000],
+     f"argument --threads: need K >= 1, got '-{'9' * 79}'... (4001 characters)"),
 ])
 def test_bad_option_is_one_line_usage_error(argv, message, capsys, int_str_limit):
     assert run_cli(argv) == 2

@@ -229,9 +229,9 @@ def test_solve_rank_deficient():
     assert info.value.free == ["u2"]
 
 
-def test_solve_rejects_a_coefficient_that_is_not_rational():
+def test_solve_rejects_a_coefficient_that_is_not_an_integer():
     form = LinearForm(0, {"u1": 1, "u2": D1})
-    with pytest.raises(ValueError, match="coefficient of u2 is not a rational"):
+    with pytest.raises(ValueError, match="coefficient of u2 is not an integer"):
         solve_unknowns([(form, 3), (LinearForm.unknown("u1"), 1)])
 
 
