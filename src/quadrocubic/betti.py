@@ -20,40 +20,14 @@ from __future__ import annotations
 import itertools
 
 
-class BettiSeq:
-    """Even Betti numbers (h^0, h^2, ..., h^(2m)) of an m-dimensional center."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = tuple(values)
-        if not self.values or min(self.values) < 0:
-            raise ValueError(f"not a sequence of Betti numbers: {self.values}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.values) - 1
-
-    def at(self, i: int) -> int:
-        """Entry i, with out-of-range indices reading as 0."""
-        if 0 <= i < len(self.values):
-            return self.values[i]
-        return 0
-
-    def is_palindromic(self) -> bool:
-        return self.values == self.values[::-1]
-
-    def is_positive(self) -> bool:
-        return all(v >= 1 for v in self.values)
-
-
-def blowup_even_betti(center: BettiSeq, n: int, m: int, k: int) -> int:
-    """h^(2k) of the blow-up of n-space along an m-dimensional center."""
-    if len(center.values) != m + 1:
-        raise ValueError(f"center has dimension {center.dim}, expected {m}")
+def blowup_even_betti(center: tuple[int, ...], n: int, m: int, k: int) -> int:
+    """h^(2k) of the blow-up of n-space along an m-dimensional center whose
+    even Betti numbers are center = (h^0, h^2, ..., h^(2m))."""
+    if len(center) != m + 1:
+        raise ValueError(f"center has dimension {len(center) - 1}, expected {m}")
     # the ambient class, and the center's entries k-1 down to k-(n-m-1)
     low = k - (n - m - 1)
-    return (0 <= k <= n) + sum(center.values[low if low > 0 else 0:k if k > 0 else 0])
+    return (0 <= k <= n) + sum(center[low if low > 0 else 0:k if k > 0 else 0])
 
 
 def barth_larsen_forced(n: int, m: int, i: int) -> bool:
@@ -100,24 +74,24 @@ def derive_case2_betti(n: int, m1: int, m2: int) -> dict:
     pairs = []
     for half in itertools.product(range(1, top + 1), repeat=m2 // 2):
         head = (1, *half)  # b_0..b_(m2//2); duality mirrors the rest
-        b = BettiSeq(head[min(i, m2 - i)] for i in range(m2 + 1))
+        b = tuple(head[min(i, m2 - i)] for i in range(m2 + 1))
         a = [0] * (m1 + 1)
         for k in range(1, m1 + 2):
-            a[k - 1] = blowup_even_betti(b, n, m2, k) - blowup_even_betti(BettiSeq(a), n, m1, k)
+            a[k - 1] = blowup_even_betti(b, n, m2, k) - blowup_even_betti(a, n, m1, k)
             if a[k - 1] < 0:
                 break
         else:
-            pairs.append((BettiSeq(a), b))
+            pairs.append((tuple(a), b))
     forced = [(s, i) for s, m in enumerate((m1, m2)) for i in range(m + 1)
               if barth_larsen_forced(n, m, i)]
     facts = [
         ("poincare-duality", "a palindromic and positive",
-         lambda a, b: a.is_palindromic() and a.is_positive()),
+         lambda a, b: a == a[::-1] and min(a) >= 1),
         ("barth-larsen", (", ".join(f"{'ab'[s]}{i}" for s, i in forced) or "no entry")
          + " forced to 1 (AXIOM: 2i <= 2m - n)",
-         lambda *ab: all(ab[s].at(i) == 1 for s, i in forced)),
+         lambda *ab: all(ab[s][i] == 1 for s, i in forced)),
         ("hard-lefschetz", "a and b rise to the middle degree (AXIOM)",
-         lambda *ab: all(seq.at(i) <= seq.at(i + 1) for seq in ab for i in range(seq.dim // 2))),
+         lambda *ab: all(seq[i] <= seq[i + 1] for seq in ab for i in range((len(seq) - 1) // 2))),
         ("blowup-agreement", f"h^(2k) of the two blow-ups agree at k = 0..{n}",
          lambda a, b: all(blowup_even_betti(a, n, m1, k) == blowup_even_betti(b, n, m2, k)
                           for k in range(n + 1))),
@@ -129,6 +103,6 @@ def derive_case2_betti(n: int, m1: int, m2: int) -> dict:
         rows.append([step_id, f"{detail}: removes {len(pairs) - len(kept)}, {len(kept)} left"])
         pairs = kept
     if len(pairs) != 1:
-        raise ValueError(f"{len(pairs)} (a, b) pairs survive: {[(a.values, b.values) for a, b in pairs]}")
+        raise ValueError(f"{len(pairs)} (a, b) pairs survive: {pairs}")
     (a, b), = pairs
-    return {"a": list(a.values), "b": list(b.values), "derivation": rows}
+    return {"a": list(a), "b": list(b), "derivation": rows}

@@ -22,8 +22,8 @@ from .betti import check_betti_gate, derive_case2_betti
 from .constraints import chain, check_degree_bound, katz_cd
 from .evaluate import eval_expr
 from .lattice import apply, canonical_class, inverse, solve_basis_change
-from .parser import parse_expr
-from .ringeval import IntersectionTable, NotIntegral, solve_unknowns
+from .parser import clip, parse_expr
+from .ringeval import IntersectionTable, NotIntegral, format_poly, solve_unknowns
 from .scan import BASE_N_MAX, scan_chunk
 
 CASE1 = (4, 1, 3, 2, 2, 1)
@@ -120,7 +120,7 @@ def enumerate_candidates(n_max: int, workers: int = 1) -> list[tuple[int, ...]]:
     scanned one after another in this process; any split yields the same
     list, and no split makes more chunks than the range has values of n."""
     if n_max < 4:
-        raise ValueError(f"need n_max >= 4, got {n_max}")
+        raise ValueError(f"need n_max >= 4, got {clip(n_max)}")
     n_hi = min(n_max, BASE_N_MAX)
     chunk = -(-(n_hi - 3) // max(workers, 1))  # ceiling: at most `workers` chunks
     raw = [t for lo in range(4, n_hi + 1, chunk)
@@ -145,14 +145,14 @@ def _case2_system():
     for k in range(n - m1 + 1):
         text = f"({m11}H {m12:+d}E)^{n - k} ({m21}H {m22:+d}E)^{k}"
         required = table1.entry(k)
-        assert required.is_constant()
+        assert not required.terms
         equations.append((eval_expr(parse_expr(text), n, m2, "d2"), required.constant))
     return equations
 
 
-def _eval_terms(terms: dict[tuple[int, int], int], d1: int, d2: int) -> int:
-    """The value of a Poly's terms at integers d1, d2."""
-    return sum(c * d1**i * d2**j for (i, j), c in terms.items())
+def _eval_terms(p: dict[tuple[int, int], int], d1: int, d2: int) -> int:
+    """The value of a polynomial at integers d1, d2."""
+    return sum(c * d1**i * d2**j for (i, j), c in p.items())
 
 
 def exclude_case2() -> dict:
@@ -186,14 +186,14 @@ def exclude_case2() -> dict:
     except NotIntegral as exc:
         raise ExclusionFailure(str(exc)) from exc
     x, y = solution["u6"], solution["u7"]
-    steps.append(("solve-monomials", f"x = {x}; y = {y}"))
+    steps.append(("solve-monomials", f"x = {format_poly(x)}; y = {format_poly(y)}"))
 
     # reduce x, y mod k with d2 == 0 (mod k): only the constant and the
     # d1-linear coefficient survive; anything else must carry a d2 factor
     def linear_in_d1_mod_d2(p):
-        low = {i: c for (i, j), c in p.terms.items() if j == 0}
+        low = {i: c for (i, j), c in p.items() if j == 0}
         if low.keys() - {0, 1}:
-            raise ExclusionFailure(f"{p} is not linear in d1 modulo d2")
+            raise ExclusionFailure(f"{format_poly(p)} is not linear in d1 modulo d2")
         return low.get(0, 0), low.get(1, 0)
 
     x0, x1 = linear_in_d1_mod_d2(x)
@@ -243,8 +243,8 @@ def exclude_case2() -> dict:
                     mod_y = a_**2 * beta
                     period = math.lcm(mod_x, mod_y)
                     for d1 in range(period):
-                        xv = _eval_terms(x.terms, d1, d2)
-                        yv = _eval_terms(y.terms, d1, d2)
+                        xv = _eval_terms(x, d1, d2)
+                        yv = _eval_terms(y, d1, d2)
                         if xv % mod_x == 0 and yv % mod_y == 0:
                             feasible.append((a_, beta, d2, d1))
                             break
@@ -302,7 +302,7 @@ def verify_main_theorem(n_max: int = 200, ineq_max: int = 100000, workers: int =
     """
     if n_max < 9:
         raise ValueError(f"need n_max >= 9: n_max is the stated range, and it must "
-                         f"reach the second case at n = 9; got {n_max}")
+                         f"reach the second case at n = 9; got {clip(n_max)}")
     steps: list[dict] = []
 
     def add(step_id: str, ok: bool, witness: dict):

@@ -18,8 +18,11 @@ import sys
 
 from . import __version__
 from .classify import enumerate_candidates, exclude_case2, scan_backend, verify_main_theorem
-from .parser import ECHO_MAX, ParseError, parse_expr, quote
+from .parser import ParseError, clip, parse_expr, quote
 from .evaluate import eval_expr
+
+# The longest message of a usage error that argparse reports, in bytes.
+MESSAGE_MAX = 200
 
 
 def report_document(report: dict, config: dict) -> dict:
@@ -70,12 +73,16 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         """A bad option is a usage error: one line on stderr, exit 2. An
-        argument, or the value after its '=', that is longer than ECHO_MAX
-        characters is echoed as `quote` clips it."""
+        argument, or the value after its '=', that `quote` clips or that
+        holds a character it escapes (a newline) is echoed as `quote` gives
+        it. A message still longer than MESSAGE_MAX bytes (a list of
+        unrecognized arguments) is cut to that length, "..." included."""
         for arg in self.argv:
             for text in (arg, arg.partition("=")[2]):
-                if len(text) > ECHO_MAX:
+                if quote(text) != repr(text) or not text.isprintable():
                     message = message.replace(repr(text), quote(text)).replace(text, quote(text))
+        if len(message.encode()) > MESSAGE_MAX:
+            message = message.encode()[:MESSAGE_MAX - 3].decode(errors="ignore") + "..."
         self.exit(2, f"error: {message}\n")
 
 
@@ -119,8 +126,12 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse reads "--n=--" as an empty list, not as a missing value
+        for name, value in vars(args).items():
+            if value == []:
+                parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
         if args.command == "verify" and args.threads < 1:
-            parser.error(f"argument --threads: need K >= 1, got {args.threads}")
+            parser.error(f"argument --threads: need K >= 1, got {clip(args.threads)}")
     except SystemExit as exc:
         return 2 if exc.code else 0
 
@@ -135,7 +146,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         try:
             _emit(report_document(report, config), args.json, args.report)
         except OSError as exc:
-            return _usage_error(exc)
+            return _usage_error(str(exc).replace(repr(args.report), quote(args.report)))
         return 0 if report["conclusion"] == "quadro-cubic unique" else 1
 
     if args.command == "enumerate":
@@ -166,7 +177,7 @@ def run_cli(argv: list[str] | None = None) -> int:
                 return _usage_error(
                     f"--deg must be a positive integer, d1, or d2, got {quote(args.deg)}")
         if not 1 <= args.m <= args.n - 2:
-            return _usage_error(f"need 1 <= m <= n-2, got n={args.n}, m={args.m}")
+            return _usage_error(f"need 1 <= m <= n-2, got n={clip(args.n)}, m={clip(args.m)}")
         try:
             ast = parse_expr(args.expr)
         except ParseError as exc:

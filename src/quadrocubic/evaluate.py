@@ -8,8 +8,7 @@ Every coefficient is an int.
 
 from __future__ import annotations
 
-from .parser import Node
-from .poly import Poly
+from .parser import Node, clip
 from .ringeval import DegreeMismatch, IntersectionTable, LinearForm
 
 # sparse polynomial in H, E, d1, d2: {(t, e, i, j): integer coefficient of
@@ -41,7 +40,8 @@ def _mul(p: Expansion, q: Expansion, n: int) -> Expansion:
     if p and q:
         top = max(p)[0] + max(q)[0]
         if top > n:
-            raise DegreeMismatch(f"expected homogeneous degree {n}, found a product of degree {top}")
+            raise DegreeMismatch(f"expected homogeneous degree {clip(n)}, "
+                                 f"found a product of degree {clip(top)}")
         p_bits = max(map(abs, p.values())).bit_length()
         q_bits = max(map(abs, q.values())).bit_length()
         if p_bits + q_bits > MAX_COEFFICIENT_BITS:
@@ -78,15 +78,14 @@ def _expand(node: Node, n: int) -> Expansion:
         top = max(base)[0] if base else 0
         if exponent > n:
             if top:
-                raise DegreeMismatch(
-                    f"exponent {exponent} exceeds n = {n} on a base of positive degree"
-                )
-            raise ValueError(f"exponent {exponent} exceeds n = {n} on a scalar base")
+                raise DegreeMismatch(f"exponent {clip(exponent)} exceeds n = {clip(n)} "
+                                     f"on a base of positive degree")
+            raise ValueError(f"exponent {clip(exponent)} exceeds n = {clip(n)} on a scalar base")
         if top * exponent > n:
             # the degree that multiplying by the base one factor at a time
             # would reach first
-            raise DegreeMismatch(f"expected homogeneous degree {n}, "
-                                 f"found a product of degree {(n // top + 1) * top}")
+            raise DegreeMismatch(f"expected homogeneous degree {clip(n)}, "
+                                 f"found a product of degree {clip((n // top + 1) * top)}")
         result: Expansion = {(0, 0, 0, 0): 1}
         k = exponent
         while k:
@@ -124,22 +123,22 @@ def eval_expr(ast: Node, n: int, m: int, deg) -> LinearForm:
     expansion = _expand(ast, n)
     bad = sorted(t for t, _, _, _ in expansion if t != n)
     if bad:
-        raise DegreeMismatch(f"expected homogeneous degree {n}, found degree {bad[0]}")
+        raise DegreeMismatch(f"expected homogeneous degree {clip(n)}, found degree {clip(bad[0])}")
     # the d1, d2 coefficient of each H^(n-k) E^k
     by_e: dict[int, dict[tuple[int, int], int]] = {}
     for (_, e, i, j), coeff in expansion.items():
         by_e.setdefault(e, {})[(i, j)] = coeff
     # each entry is an unknown u_e, so none repeats, or a constant monomial
     constant: dict[tuple[int, int], int] = {}
-    terms: dict[str, Poly] = {}
+    terms: dict[str, dict[tuple[int, int], int]] = {}
     for e, coeffs in by_e.items():
         value = table.value(e)
         if type(value) is str:
-            terms[value] = Poly(coeffs)
+            terms[value] = coeffs
             continue
         factor, (di, dj) = value
         if factor:
             for (i, j), coeff in coeffs.items():
                 key = (i + di, j + dj)
                 constant[key] = constant.get(key, 0) + factor * coeff
-    return LinearForm(Poly(constant), terms)
+    return LinearForm(constant, terms)

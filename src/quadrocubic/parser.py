@@ -28,16 +28,30 @@ their child. A tree is a few tuples deep per nested group, so `==`,
 from __future__ import annotations
 
 
-# The longest input text that an error message quotes in full.
+# The longest input text that an error message quotes in full, in
+# characters; its quoted form takes at most ECHO_MAX + 2 bytes.
 ECHO_MAX = 80
 
 
 def quote(text: str) -> str:
-    """repr(text), or for text longer than ECHO_MAX characters the repr of
-    its first ECHO_MAX and its length, so that an error line stays short."""
-    if len(text) <= ECHO_MAX:
-        return repr(text)
-    return f"{text[:ECHO_MAX]!r}... ({len(text)} characters)"
+    """repr(text), or for text longer than ECHO_MAX characters, or whose
+    repr takes more than ECHO_MAX + 2 bytes (escapes, wide characters), the
+    repr of the longest prefix that fits and the text's length, so that an
+    error line stays short."""
+    k = min(len(text), ECHO_MAX)
+    while len(repr(text[:k]).encode()) > ECHO_MAX + 2:
+        k -= 1
+    return repr(text) if k == len(text) else f"{text[:k]!r}... ({len(text)} characters)"
+
+
+def clip(value: int) -> str:
+    """str(value), or for a value of more than ECHO_MAX digits its leading
+    digits and its digit count, in ECHO_MAX characters, so that an error
+    line that echoes an integer stays short."""
+    text = str(value)
+    digits = len(text) - (value < 0)
+    tail = f"... ({digits} digits)"
+    return text if digits <= ECHO_MAX else text[:ECHO_MAX - len(tail)] + tail
 
 
 class ParseError(ValueError):

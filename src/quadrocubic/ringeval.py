@@ -9,14 +9,44 @@ affine-linear form in those unknowns with polynomial constants; square
 systems of such forms, integral in the unknowns' coefficients, are
 solved by fraction-free elimination, in which every division is an exact
 integer division.
+
+A polynomial in the degree symbols d1, d2 is a dict {(i, j): c} of the
+integer coefficient c of d1^i d2^j, with no zero coefficient stored, so
+two polynomials are equal exactly when their dicts are.
 """
 
 from __future__ import annotations
 
 import re
+from operator import index
 from typing import Mapping, Sequence
 
-from .poly import SYMBOLS, Poly, as_poly, signed_join
+SYMBOLS = ("d1", "d2")
+
+
+def _terms(p: dict) -> list[tuple[str, str]]:
+    """(sign, body) for each term of a polynomial: the constant first, then
+    ascending total degree, d1 before d2 within a degree."""
+    parts = []
+    for i, j in sorted(p, key=lambda e: (e[0] + e[1], -e[0], e[1])):
+        coeff = p[i, j]
+        factors = [f"{sym}^{e}" if e > 1 else sym for sym, e in zip(SYMBOLS, (i, j)) if e]
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)))
+        parts.append(("-" if coeff < 0 else "+", "*".join(factors)))
+    return parts
+
+
+def signed_join(parts: list[tuple[str, str]]) -> str:
+    """Render (sign, body) terms as "a - b + c", dropping a leading "+",
+    and no terms as "0"."""
+    text = " ".join(f"{sign} {body}" for sign, body in parts) or "+ 0"
+    return text[2:] if text[0] == "+" else "-" + text[2:]
+
+
+def format_poly(p: dict) -> str:
+    """A polynomial as text: "512 - 2016*d2", "-37 - d1 + 12*d2", "0"."""
+    return signed_join(_terms(p))
 
 
 class DegreeMismatch(ValueError):
@@ -26,9 +56,9 @@ class DegreeMismatch(ValueError):
 class InconsistentSystem(ValueError):
     """Linear system has no solution; carries the violated combination."""
 
-    def __init__(self, witness):
+    def __init__(self, witness: dict):
         self.witness = witness
-        super().__init__(f"inconsistent system: 0 = {witness}")
+        super().__init__(f"inconsistent system: 0 = {format_poly(witness)}")
 
 
 class NotIntegral(ValueError):
@@ -36,13 +66,13 @@ class NotIntegral(ValueError):
     the positive common denominator and each unknown's numerator, so the
     solution is still exact: numerators[name] / denominator."""
 
-    def __init__(self, denominator: int, numerators: dict[str, Poly]):
+    def __init__(self, denominator: int, numerators: dict[str, dict]):
         self.denominator = denominator
         self.numerators = numerators
         name = next(name for name, num in numerators.items()
-                    if any(c % denominator for c in num.terms.values()))
-        super().__init__(
-            f"solution is not integral: {name} = ({numerators[name]})/{denominator}")
+                    if any(c % denominator for c in num.values()))
+        super().__init__(f"solution is not integral: "
+                         f"{name} = ({format_poly(numerators[name])})/{denominator}")
 
 
 class RankDeficient(ValueError):
@@ -60,69 +90,53 @@ def _unknown_key(name: str):
     return (m.group(1), int(m.group(2))) if m else (name, -1)
 
 
-def _coefficient(value) -> Poly:
-    poly = as_poly(value)
-    if poly is NotImplemented:
-        raise TypeError(f"not an exact coefficient: {value!r}")
-    return poly
+def _poly(value) -> dict:
+    """An int, or a polynomial, as a polynomial with its zero coefficients
+    dropped. A coefficient that is not an integer (a float, a rational)
+    raises TypeError."""
+    if type(value) is not dict:
+        value = {(0, 0): value}
+    return {exps: coeff for exps, coeff in zip(value, map(index, value.values())) if coeff}
 
 
 class LinearForm:
-    """constant + sum of coeff * unknown, all coefficients exact.
+    """constant + sum of coeff * unknown, each coefficient a polynomial.
 
-    Coefficients live in the polynomial ring over d1, d2; solve_unknowns
-    takes only forms whose unknowns have integer coefficients. Zero
-    coefficients are never stored.
+    solve_unknowns takes only forms whose unknowns have integer
+    coefficients. Zero coefficients are never stored. `+` and `scale`
+    serve perfbench's eval oracle, which builds its expected value from
+    table entries.
     """
 
     __slots__ = ("constant", "terms")
 
     def __init__(self, constant=0, terms: Mapping[str, object] | None = None):
-        self.constant = _coefficient(constant)
-        clean: dict[str, Poly] = {}
-        if terms:
-            for name, coeff in terms.items():
-                coeff = _coefficient(coeff)
-                if coeff:
-                    clean[name] = coeff
-        self.terms = clean
+        self.constant = _poly(constant)
+        polys = {name: _poly(coeff) for name, coeff in (terms or {}).items()}
+        self.terms = {name: p for name, p in polys.items() if p}
 
-    @classmethod
-    def unknown(cls, name: str) -> "LinearForm":
-        return cls(0, {name: 1})
-
-    def is_constant(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other) -> "LinearForm":
-        if not isinstance(other, LinearForm):
-            other = LinearForm(other)
+    def __add__(self, other: "LinearForm") -> "LinearForm":
         terms = dict(self.terms)
         for name, coeff in other.terms.items():
-            terms[name] = terms.get(name, Poly()) + coeff
-        return LinearForm(self.constant + other.constant, terms)
+            terms[name] = _combine(1, terms.get(name, {}), -1, coeff)
+        return LinearForm(_combine(1, self.constant, -1, other.constant), terms)
 
-    def scale(self, factor) -> "LinearForm":
-        factor = as_poly(factor)
-        return LinearForm(
-            self.constant * factor, {n: c * factor for n, c in self.terms.items()}
-        )
+    def scale(self, factor: int) -> "LinearForm":
+        factor = index(factor)
+        return LinearForm({e: factor * c for e, c in self.constant.items()},
+                          {n: {e: factor * c for e, c in p.items()}
+                           for n, p in self.terms.items()})
 
     def __str__(self) -> str:
-        parts: list[tuple[str, str]] = []
-        if self.constant or not self.terms:
-            text = str(self.constant)
-            parts.append(("-", text[1:].lstrip()) if text.startswith("-") else ("+", text))
+        parts = _terms(self.constant)
         for name in sorted(self.terms, key=_unknown_key):
             coeff = self.terms[name]
-            if coeff.is_constant():
-                value = coeff.constant_value()
-                sign = "-" if value < 0 else "+"
+            if coeff.keys() == {(0, 0)}:
+                value = coeff[(0, 0)]
                 body = name if abs(value) == 1 else f"{abs(value)}*{name}"
+                parts.append(("-" if value < 0 else "+", body))
             else:
-                sign = "+"
-                body = f"({coeff})*{name}"
-            parts.append((sign, body))
+                parts.append(("+", f"({format_poly(coeff)})*{name}"))
         return signed_join(parts)
 
 
@@ -160,9 +174,9 @@ class IntersectionTable:
     def entry(self, i: int) -> LinearForm:
         value = self.value(i)
         if type(value) is str:
-            return LinearForm.unknown(value)
+            return LinearForm(0, {value: 1})
         coeff, exps = value
-        return LinearForm(Poly({exps: coeff}))
+        return LinearForm({exps: coeff})
 
 
 def _exact(value: int, k: int) -> int:
@@ -175,7 +189,7 @@ def _exact(value: int, k: int) -> int:
 
 
 def _combine(a: int, x: dict, b: int, y: dict) -> dict:
-    """a*x - b*y on Poly terms, zeros dropped."""
+    """a*x - b*y on polynomials, zeros dropped."""
     out = {exps: a * c for exps, c in x.items()}
     for exps, c in y.items():
         out[exps] = out.get(exps, 0) - b * c
@@ -184,14 +198,14 @@ def _combine(a: int, x: dict, b: int, y: dict) -> dict:
 
 def solve_unknowns(
     equations: Sequence[tuple[LinearForm, object]],
-) -> dict[str, Poly]:
+) -> dict[str, dict]:
     """Solve a linear system over the unknowns by fraction-free (Bareiss)
     elimination.
 
     Each equation is (form, required value); the value may be an int or
-    a Poly. The unknowns' coefficients must be integers
+    a polynomial. The unknowns' coefficients must be integers
     (a coefficient that is not raises ValueError naming it); the right
-    sides are Polys. Every step of the elimination divides by the
+    sides are polynomials. Every step of the elimination divides by the
     previous pivot, and by Sylvester's identity each such division is
     exact, so every entry stays an integer. Back substitution solves for
     |D| times each unknown, D the last pivot and so the determinant of
@@ -207,18 +221,18 @@ def solve_unknowns(
     for form, _ in equations:
         names.update(form.terms)
     order = sorted(names, key=_unknown_key)
-    index = {name: i for i, name in enumerate(order)}
+    column = {name: i for i, name in enumerate(order)}
     width = len(order)
 
     # row = integer coefficients of the unknowns, then the right side as
-    # Poly terms
+    # a polynomial
     rows: list[list] = []
     for form, required in equations:
-        row: list = [0] * width + [(as_poly(required) - form.constant).terms]
+        row: list = [0] * width + [_combine(1, _poly(required), 1, form.constant)]
         for name, coeff in form.terms.items():
-            if not coeff.is_constant():
-                raise ValueError(f"coefficient of {name} is not an integer: {coeff}")
-            row[index[name]] = coeff.constant_value()
+            if coeff.keys() != {(0, 0)}:
+                raise ValueError(f"coefficient of {name} is not an integer: {format_poly(coeff)}")
+            row[column[name]] = coeff[(0, 0)]
         rows.append(row)
 
     pivot_cols: list[int] = []
@@ -244,7 +258,7 @@ def solve_unknowns(
     r = len(pivot_cols)
     for row in rows[r:]:
         if row[width]:
-            raise InconsistentSystem(Poly(row[width]))
+            raise InconsistentSystem(row[width])
     if r < width:
         free = [order[c] for c in range(width) if c not in pivot_cols]
         pinned = [order[c] for c in pivot_cols]
@@ -260,7 +274,6 @@ def solve_unknowns(
             acc = _combine(1, acc, rows[k][j], numerators[j])
         numerators[k] = {e: _exact(c, rows[k][k]) for e, c in acc.items()}
     if any(c % denominator for terms in numerators for c in terms.values()):
-        raise NotIntegral(denominator, {name: Poly(numerators[i])
-                                        for i, name in enumerate(order)})
-    return {name: Poly({e: c // denominator for e, c in numerators[i].items()})
+        raise NotIntegral(denominator, dict(zip(order, numerators)))
+    return {name: {e: c // denominator for e, c in numerators[i].items()}
             for i, name in enumerate(order)}

@@ -10,7 +10,6 @@ import pytest
 
 from quadrocubic import betti
 from quadrocubic.betti import (
-    BettiSeq,
     barth_larsen_forced,
     blowup_even_betti,
     check_betti_gate,
@@ -23,52 +22,37 @@ CASE2_DIMS = (CASE2[0], *CASE2[4:])  # (n, m1, m2) = (9, 6, 4)
 DERIVED = ((1, 1, 2, 2, 2, 1, 1), (1, 1, 1, 1, 1))
 
 
-def difference_relation(aseq: BettiSeq, bseq: BettiSeq, n: int, m1: int, m2: int) -> bool:
+def at(seq: tuple, i: int) -> int:
+    """Entry i of a Betti sequence, with out-of-range indices reading as 0."""
+    return seq[i] if 0 <= i < len(seq) else 0
+
+
+def difference_relation(aseq: tuple, bseq: tuple, n: int, m1: int, m2: int) -> bool:
     """a_i - a_{i-(n-m1-1)} = b_i - b_{i-(n-m2-1)} at every index: the
     telescoped form of the blow-up agreement (see the betti docstring)."""
     return all(
-        aseq.at(i) - aseq.at(i - (n - m1 - 1)) == bseq.at(i) - bseq.at(i - (n - m2 - 1))
+        at(aseq, i) - at(aseq, i - (n - m1 - 1)) == at(bseq, i) - at(bseq, i - (n - m2 - 1))
         for i in range(n + max(m1, m2) + 2)
     )
 
 
-def _printed_relation(aseq: BettiSeq, bseq: BettiSeq, n: int, m1: int) -> bool:
+def _printed_relation(aseq: tuple, bseq: tuple, n: int, m1: int) -> bool:
     """The paper's printed form, with the first chart's offset on both sides."""
     return all(
-        aseq.at(i) - aseq.at(i - (n - m1 - 1)) == bseq.at(i) - bseq.at(i - (n - m1 - 1))
+        at(aseq, i) - at(aseq, i - (n - m1 - 1)) == at(bseq, i) - at(bseq, i - (n - m1 - 1))
         for i in range(n + m1 + 2)
     )
 
 
-def test_betti_seq_basics():
-    seq = BettiSeq((1, 1, 2))
-    assert seq.dim == 2
-    assert seq.at(0) == 1
-    assert seq.at(2) == 2
-    assert seq.at(-1) == 0
-    assert seq.at(3) == 0
-    assert not seq.is_palindromic()
-    assert seq.is_positive()
-    assert BettiSeq((1, 2, 1)).is_palindromic()
-    assert not BettiSeq((1, 0, 1)).is_positive()
-
-
-def test_betti_seq_validation():
-    with pytest.raises(ValueError):
-        BettiSeq(())
-    with pytest.raises(ValueError):
-        BettiSeq((1, -1))
-
-
 def test_blowup_even_betti_examples():
-    assert blowup_even_betti(BettiSeq((1, 1)), 4, 1, 1) == 2
-    assert blowup_even_betti(BettiSeq((1, 1, 2, 2, 2, 1, 1)), 9, 6, 0) == 1
+    assert blowup_even_betti(((1, 1)), 4, 1, 1) == 2
+    assert blowup_even_betti(((1, 1, 2, 2, 2, 1, 1)), 9, 6, 0) == 1
     # n=9, m=4, k=3: indices 2, 1, 0, -1 plus the ambient class
-    assert blowup_even_betti(BettiSeq((1, 1, 1, 1, 1)), 9, 4, 3) == 4
+    assert blowup_even_betti(((1, 1, 1, 1, 1)), 9, 4, 3) == 4
 
 
 def test_blowup_even_betti_out_of_range_k():
-    seq = BettiSeq((1, 1, 1, 1, 1))
+    seq = ((1, 1, 1, 1, 1))
     assert blowup_even_betti(seq, 9, 4, 20) == 0
     assert blowup_even_betti(seq, 9, 4, 9 + 4) == 0
 
@@ -80,52 +64,52 @@ def test_blowup_even_betti_is_a_sum_of_shifted_copies():
     for _ in range(2000):
         n = rng.randint(2, 12)
         m = rng.randint(0, n)
-        seq = BettiSeq(rng.randint(0, 4) for _ in range(m + 1))
+        seq = tuple(rng.randint(0, 4) for _ in range(m + 1))
         k = rng.randint(-3, 2 * n + 3)
-        copies = sum(seq.at(k - shift) for shift in range(1, n - m))
+        copies = sum(at(seq, k - shift) for shift in range(1, n - m))
         assert blowup_even_betti(seq, n, m, k) == copies + (0 <= k <= n)
 
 
 def test_blowup_even_betti_dimension_guard():
     with pytest.raises(ValueError):
-        blowup_even_betti(BettiSeq((1, 1)), 9, 4, 0)
+        blowup_even_betti(((1, 1)), 9, 4, 0)
 
 
 def test_difference_relation_case2_instance():
-    aseq = BettiSeq((1, 1, 2, 2, 2, 1, 1))
-    bseq = BettiSeq((1, 1, 1, 1, 1))
+    aseq = ((1, 1, 2, 2, 2, 1, 1))
+    bseq = ((1, 1, 1, 1, 1))
     assert difference_relation(aseq, bseq, 9, 6, 4)
     # i=3 instance: a3 - a1 = b3 - b_{-1}
-    assert aseq.at(3) - aseq.at(1) == bseq.at(3) - bseq.at(-1) == 1
+    assert at(aseq, 3) - at(aseq, 1) == at(bseq, 3) - at(bseq, -1) == 1
 
 
 def test_difference_relation_low_degree_agreement():
     # for i <= n-m1-2 both offsets are negative and the relation reduces
     # to a_i = b_i
-    aseq = BettiSeq((1, 1, 2, 2, 2, 1, 1))
-    bseq = BettiSeq((1, 1, 1, 1, 1))
+    aseq = ((1, 1, 2, 2, 2, 1, 1))
+    bseq = ((1, 1, 1, 1, 1))
     n, m1 = 9, 6
     for i in range(n - m1 - 1):
-        assert aseq.at(i) == bseq.at(i)
+        assert at(aseq, i) == at(bseq, i)
 
 
 def test_difference_relation_case1_instance():
     # elliptic scroll (1,2,1) over the quintic elliptic curve (1,1)
-    assert difference_relation(BettiSeq((1, 2, 1)), BettiSeq((1, 1)), 4, 2, 1)
+    assert difference_relation(((1, 2, 1)), ((1, 1)), 4, 2, 1)
     # all-ones sequences do not satisfy the relation here: the offsets
     # differ, so a_1 - a_0 = 0 cannot match b_1 - b_{-1} = 1
-    assert not difference_relation(BettiSeq((1, 1, 1)), BettiSeq((1, 1)), 4, 2, 1)
+    assert not difference_relation(((1, 1, 1)), ((1, 1)), 4, 2, 1)
 
 
 def test_difference_relation_failure_detected():
-    assert not difference_relation(BettiSeq((1, 3, 1)), BettiSeq((1, 1)), 4, 2, 1)
+    assert not difference_relation(((1, 3, 1)), ((1, 1)), 4, 2, 1)
 
 
 def test_printed_difference_relation_rejects_the_derived_pair():
     # the module docstring's note: the printed form, with the first
     # chart's offset on both sides, fails at i = 2 on the sequences the
     # blow-up agreement forces, a2 - a0 = 1 against b2 - b0 = 0
-    aseq, bseq = map(BettiSeq, DERIVED)
+    aseq, bseq = DERIVED
     assert _relation_via_blowup(aseq, bseq, *CASE2_DIMS)
     assert difference_relation(aseq, bseq, *CASE2_DIMS)
     assert not _printed_relation(aseq, bseq, *CASE2_DIMS[:2])
@@ -144,8 +128,8 @@ def test_difference_relation_equivalent_to_blowup_agreement():
         n = rng.randint(4, 10)
         m1 = rng.randint(2, n - 2)
         m2 = rng.randint(1, m1 - 1)
-        aseq = BettiSeq(tuple(rng.randint(1, 3) for _ in range(m1 + 1)))
-        bseq = BettiSeq(tuple(rng.randint(1, 3) for _ in range(m2 + 1)))
+        aseq = tuple(rng.randint(1, 3) for _ in range(m1 + 1))
+        bseq = tuple(rng.randint(1, 3) for _ in range(m2 + 1))
         assert difference_relation(aseq, bseq, n, m1, m2) == _relation_via_blowup(
             aseq, bseq, n, m1, m2
         )
@@ -175,13 +159,13 @@ def test_derive_case2_betti_values():
 
 def test_derive_case2_betti_invariants():
     result = derive_case2_betti(*CASE2_DIMS)
-    aseq, bseq = BettiSeq(result["a"]), BettiSeq(result["b"])
-    assert aseq.is_palindromic() and bseq.is_palindromic()
-    assert aseq.is_positive() and bseq.is_positive()
+    aseq, bseq = tuple(result["a"]), tuple(result["b"])
+    assert aseq == aseq[::-1] and bseq == bseq[::-1]
+    assert min(aseq) >= 1 and min(bseq) >= 1
     assert difference_relation(aseq, bseq, 9, 6, 4)
     # Hard Lefschetz monotonicity over the first half
-    for i in range(aseq.dim // 2):
-        assert aseq.at(i) <= aseq.at(i + 1)
+    for i in range((len(aseq) - 1) // 2):
+        assert aseq[i] <= aseq[i + 1]
 
 
 def test_derive_case2_betti_step_log():
@@ -223,7 +207,7 @@ def test_derivation_on_other_dimensions(dims, a, b, rows):
     details = dict(result["derivation"])
     for step_id, ending in rows.items():
         assert details[step_id].endswith(ending)
-    assert _relation_via_blowup(BettiSeq(a), BettiSeq(b), *dims)
+    assert _relation_via_blowup(tuple(a), tuple(b), *dims)
 
 
 def test_agreement_is_checked_at_every_degree(monkeypatch):
@@ -239,16 +223,16 @@ def test_agreement_is_checked_at_every_degree(monkeypatch):
 
 def _palindromes(m: int, top: int):
     """Every palindromic sequence of length m + 1 with entries in 1..top."""
-    return [BettiSeq(v) for v in itertools.product(range(1, top + 1), repeat=m + 1)
-            if v == v[::-1]]
+    return [v for v in itertools.product(range(1, top + 1), repeat=m + 1) if v == v[::-1]]
 
 
-def _barth_larsen(seq: BettiSeq, n: int) -> bool:
-    return all(seq.at(i) == 1 for i in range(seq.dim + 1) if barth_larsen_forced(n, seq.dim, i))
+def _barth_larsen(seq: tuple, n: int) -> bool:
+    m = len(seq) - 1
+    return all(seq[i] == 1 for i in range(m + 1) if barth_larsen_forced(n, m, i))
 
 
-def _hard_lefschetz(seq: BettiSeq) -> bool:
-    return all(seq.at(i) <= seq.at(i + 1) for i in range(seq.dim // 2))
+def _hard_lefschetz(seq: tuple) -> bool:
+    return all(seq[i] <= seq[i + 1] for i in range((len(seq) - 1) // 2))
 
 
 def _naive_pairs(use_barth_larsen: bool) -> set:
@@ -258,7 +242,7 @@ def _naive_pairs(use_barth_larsen: bool) -> set:
     keep = [[s for s in _palindromes(m, 6)
              if _hard_lefschetz(s) and (_barth_larsen(s, n) or not use_barth_larsen)]
             for m in (m1, m2)]
-    return {(a.values, b.values) for a in keep[0] for b in keep[1]
+    return {(a, b) for a in keep[0] for b in keep[1]
             if _relation_via_blowup(a, b, n, m1, m2)}
 
 

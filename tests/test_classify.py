@@ -21,7 +21,6 @@ from quadrocubic.classify import (
 )
 from quadrocubic import classify, constraints, scan
 from quadrocubic.constraints import check_degree_bound
-from quadrocubic.poly import Poly
 from quadrocubic.scan import BASE_N_MAX, scan_chunk, visits
 
 
@@ -430,7 +429,7 @@ def test_exclude_case2_refuses_a_square_divisor(monkeypatch):
 
     def shifted(equations):
         solution = solve(equations)
-        solution["u7"] = solution["u7"] + Poly({(0, 0): 56})
+        solution["u7"] = {**solution["u7"], (0, 0): solution["u7"][(0, 0)] + 56}
         return solution
 
     monkeypatch.setattr(classify, "solve_unknowns", shifted)
@@ -455,7 +454,10 @@ def _perturbed_case2_system(monkeypatch, delta):
     def perturbed():
         rows = system()
         form, required = rows[3]
-        rows[3] = (form.scale(2), required * 2 + delta)
+        total = {e: 2 * c for e, c in required.items()}
+        for e, c in delta.items():
+            total[e] = total.get(e, 0) + c
+        rows[3] = (form.scale(2), total)
         return rows
 
     monkeypatch.setattr(classify, "_case2_system", perturbed)
@@ -465,7 +467,7 @@ def test_exclude_case2_refuses_a_non_integral_coefficient(monkeypatch):
     # a 1/2*d1*d2 term in x is one the symbolic path (modulo d2) never
     # reads; the solve must refuse it before both paths, where int() would
     # truncate odd d1*d2
-    _perturbed_case2_system(monkeypatch, Poly({(1, 1): -1}))
+    _perturbed_case2_system(monkeypatch, {(1, 1): -1})
     with pytest.raises(classify.ExclusionFailure,
                        match=r"^solution is not integral: u6 = "
                              r"\(-74 - 2\*d1 \+ 24\*d2 \+ d1\*d2\)/2$"):
@@ -475,14 +477,14 @@ def test_exclude_case2_refuses_a_non_integral_coefficient(monkeypatch):
 def test_exclude_case2_refuses_a_non_integral_constant(monkeypatch):
     # x's constant term is one the symbolic path reads: it must refuse it
     # as the brute path would, not truncate it
-    _perturbed_case2_system(monkeypatch, -1)
+    _perturbed_case2_system(monkeypatch, {(0, 0): -1})
     with pytest.raises(classify.ExclusionFailure,
                        match=r"^solution is not integral: u6 = \(-73 - 2\*d1 \+ 24\*d2\)/2$"):
         exclude_case2()
 
 
 def _exact_coefficients(polys):
-    coeffs = [c for p in polys for c in p.terms.values()]
+    coeffs = [c for p in polys for c in p.values()]
     assert coeffs
     return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in coeffs)
 
@@ -521,7 +523,7 @@ def test_lattice_symbolics_catches_a_wrong_inverse(monkeypatch):
 
 
 def _fraction_value(p, d1, d2):
-    return sum((c * Fraction(d1) ** i * Fraction(d2) ** j for (i, j), c in p.terms.items()),
+    return sum((c * Fraction(d1) ** i * Fraction(d2) ** j for (i, j), c in p.items()),
                Fraction(0))
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quadrocubic
-from quadrocubic import classify
+from quadrocubic import classify, cli
 from quadrocubic.cli import run_cli
 from quadrocubic.parser import MAX_NESTING
 
@@ -381,14 +381,72 @@ def test_range_below_floor_is_usage_error(argv, message, capsys):
                    "(choose from 'verify', 'enumerate', 'eval', 'exclude-case2')"),
     (["enumerate", "extra", "x" * 5000],
      f"unrecognized arguments: extra '{'x' * 80}'... (5000 characters)"),
+    # an integer of more than 80 digits is echoed as its leading digits and
+    # its digit count, in 80 characters
     (["verify", "--threads", "-" + "9" * 4000],
-     f"argument --threads: need K >= 1, got '-{'9' * 79}'... (4001 characters)"),
+     f"argument --threads: need K >= 1, got -{'9' * 62}... (4000 digits)"),
 ])
 def test_bad_option_is_one_line_usage_error(argv, message, capsys, int_str_limit):
     assert run_cli(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+NINES = "9" * 4000
+CLIPPED = f"{'9' * 63}... (4000 digits)"
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["verify", "--n-max", "-" + NINES], 2, "need n_max >= 9: n_max is the stated range, and it "
+                                            f"must reach the second case at n = 9; got -{CLIPPED[1:]}"),
+    (["enumerate", "--n-max", "-" + NINES], 2, f"need n_max >= 4, got -{CLIPPED[1:]}"),
+    (["eval", "--n", "9", "--m", NINES, "--deg", "1", "H"], 2,
+     f"need 1 <= m <= n-2, got n=9, m={CLIPPED}"),
+    # the expander's messages
+    (["eval", "--n", NINES, "--m", "1", "--deg", "1", "H"], 1,
+     f"expected homogeneous degree {CLIPPED}, found degree 1"),
+    (["eval", "--n", "5", "--m", "1", "--deg", "1", "H^" + NINES], 1,
+     f"exponent {CLIPPED} exceeds n = 5 on a base of positive degree"),
+    # an integer of 80 digits is echoed whole
+    (["enumerate", "--n-max", "-" + "9" * 80], 2, f"need n_max >= 4, got -{'9' * 80}"),
+])
+def test_long_integer_is_echoed_clipped(argv, code, message, capsys, int_str_limit):
+    assert run_cli(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    # argparse reads a value of "--" after "=" as an empty list
+    (["verify", "--n-max=--"], "argument --n-max: expected one argument"),
+    (["eval", "--n", "9", "--m", "4", "--deg=--", "H^9"], "argument --deg: expected one argument"),
+    # a newline in an echoed argument is escaped, so the error stays one line
+    (["verify", "a\nb"], "unrecognized arguments: 'a\\nb'"),
+    # escapes and wide characters count towards the clip in bytes
+    (["verify", "--n-max", "\x01" * 100],
+     f"argument --n-max: invalid int value: {chr(1) * 20!r}... (100 characters)"),
+    (["enumerate", "--n-max", "\U00020000" * 100],
+     f"argument --n-max: invalid int value: {chr(0x20000) * 20!r}... (100 characters)"),
+    # a list of long unrecognized arguments is cut at MESSAGE_MAX bytes
+    (["enumerate", "x" * 100, "y" * 100, "z" * 100],
+     f"unrecognized arguments: {'x' * 80!r}... (100 characters) {'y' * 80!r}... "
+     [:cli.MESSAGE_MAX - 3] + "..."),
+])
+def test_bad_argument_is_one_short_line(argv, message, capsys):
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_report_to_a_long_missing_path_is_echoed_clipped(tmp_path, capsys):
+    path = str(tmp_path / "missing" / ("x" * 200))
+    assert run_cli(["verify", "--report", path]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: [Errno 2] No such file or directory: {path[:80]!r}... "
+                   f"({len(path)} characters)\n")
 
 
 def test_removed_option_ends_without_traceback():

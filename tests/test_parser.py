@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from quadrocubic.parser import ECHO_MAX, MAX_NESTING, ParseError, parse_expr
+from quadrocubic.parser import ECHO_MAX, MAX_NESTING, ParseError, clip, parse_expr, quote
 
 # how tightly each kind of node binds; a child that binds no tighter than
 # its parent is printed in parentheses
@@ -130,6 +130,28 @@ def test_long_token_is_clipped_in_the_error():
         with pytest.raises(ParseError) as info:
             parse_expr("H^3 " + "Q" * length)
         assert (info.value.column, info.value.found) == (5, found)
+
+
+def test_quote_bounds_the_echo_in_bytes():
+    # plain text is quoted whole up to ECHO_MAX characters; escapes and wide
+    # characters clip it sooner, so the quoted form never takes more than
+    # ECHO_MAX + 2 bytes before its length
+    assert quote("é" * 40) == repr("é" * 40)
+    assert quote("\\" * 40) == repr("\\" * 40)
+    assert quote("\\" * 41) == repr("\\" * 40) + "... (41 characters)"
+    assert quote("é" * 41) == f"{'é' * 40!r}... (41 characters)"
+    for text in ("\x01" * 100, "\U000e0001" * 9, "\U00020000" * 100, "'\"" * 100, "Q" * 5000):
+        shown = quote(text)
+        assert len(shown.partition("... (")[0].encode()) <= ECHO_MAX + 2
+        assert shown.endswith(f"... ({len(text)} characters)")
+
+
+def test_clip_keeps_short_integers_and_clips_long_ones():
+    for value in (0, -7, 10**79, -(10**80 - 1)):
+        assert clip(value) == str(value)
+    assert clip(10**80) == f"1{'0' * 64}... (81 digits)"
+    assert clip(-(10**4000 - 1)) == f"-{'9' * 62}... (4000 digits)"
+    assert all(len(clip(v)) == ECHO_MAX for v in (10**80, -(10**80), 10**4299))
 
 
 def test_missing_exponent_is_found_at_end_of_input():
