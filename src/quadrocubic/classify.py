@@ -31,7 +31,7 @@ CASE2 = (9, 1, 3, 2, 6, 4)
 
 
 def scan_backend() -> str:
-    """Name of the scan kernel, reported as meta.backend."""
+    """Name of the scan kernel; perfbench records it among its machine facts."""
     return "python"
 
 
@@ -101,8 +101,9 @@ def _attribute(raw: tuple) -> tuple[int, int, int, int, int, int]:
     """Re-verify a kernel survivor against the named predicates, on the
     domain that `constraints.chain` takes as its premise, and return it."""
     n, a, c, d, m1, m2 = raw
-    if not 1 <= m2 < m1 <= n - 2:
-        raise RuntimeError(f"kernel survivor {raw} is outside the domain 1 <= m2 < m1 <= n-2")
+    if not (a >= 1 and 1 <= m2 < m1 <= n - 2):
+        raise RuntimeError(f"kernel survivor {raw} is outside the domain "
+                           f"1 <= m2 < m1 <= n-2, a >= 1")
     if katz_cd(n, a, m1, m2) != (c, d):
         raise RuntimeError(f"kernel survivor {raw} does not reproduce under katz_cd")
     for cid, holds in chain(n, a, c, d, m1, m2):

@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import __version__
-from .classify import enumerate_candidates, exclude_case2, scan_backend, verify_main_theorem
+from .classify import enumerate_candidates, exclude_case2, verify_main_theorem
 from .parser import ParseError, clip, parse_expr, quote
 from .evaluate import eval_expr
 
@@ -27,8 +27,7 @@ MESSAGE_MAX = 200
 
 def report_document(report: dict, config: dict) -> dict:
     """The `verify --json` document: "meta", then verify_main_theorem's report."""
-    return {"meta": {"version": __version__, "backend": scan_backend(), "config": config},
-            **report}
+    return {"meta": {"version": __version__, "config": config}, **report}
 
 
 def _listed(values: list) -> str:
@@ -36,8 +35,7 @@ def _listed(values: list) -> str:
 
 
 def render_text(document: dict) -> str:
-    lines = [f"quadrocubic {document['meta']['version']} "
-             f"(scan backend: {document['meta']['backend']})"]
+    lines = [f"quadrocubic {document['meta']['version']}"]
     for step in document["steps"]:
         lines.append(f"[{step['status']}] {step['id']}")
         if step["id"] == "a1-inequality-range":

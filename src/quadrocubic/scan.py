@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 
-from .constraints import chain
+from .constraints import chain, katz_cd
 
 Survivor = tuple[int, int, int, int, int, int]
 
@@ -37,11 +37,12 @@ def visits(n_lo: int, n_hi: int) -> Iterator[tuple[int, int, int, range]]:
     - Lemma: with a = 1 only (n, m1, m2) = (4, 2, 1) and (9, 6, 4) can
       pass, for every n. Integrality of c and d means N = c*e1 + e2 =
       d*e2 + e1, so (c-1)*e1 = (d-1)*e2. The domain m2 < m1 gives
-      e2 >= e1 + 1, so with d >= 2 (link 5) the identity gives c > d,
-      hence c >= 3. It also implies links 2, 7 and 8: e1*e2 < N^2 and
-      (e1+1)*e1 <= N^2 because N > e1 + e2; a = 1 divides everything.
-      What is left is d >= 2 and link 1. The gate 4*m1 >= 3n-2 is
-      N >= 4*e1 + 3, and then link 1 asks m2 <= e1-1, i.e.
+      e2 >= e1 + 1. Link 8 asks cd-1 > 0, which is d >= 2 (see
+      `constraints.chain`), and then the identity gives c > d, hence
+      c >= 3. It also implies links 2 and 7 and the rest of link 8:
+      e1*e2 < N^2 and (e1+1)*e1 <= N^2 because N > e1 + e2; a = 1
+      divides everything. What is left is d >= 2 and link 1. The gate
+      4*m1 >= 3n-2 is N >= 4*e1 + 3, and then link 1 asks m2 <= e1-1, i.e.
       N <= e1 + e2 + 1, impossible for c >= 3. So N <= 4*e1 + 2, and
       with e2 >= e1 + 1 this gives (c-3)*e1 <= 1. c = 4, e1 = 1 forces
       e2 = 2 and d = 5/2. So c = 3, d = 2, e2 = 2*e1 <= e1 + 2, hence e1 = 1
@@ -98,13 +99,8 @@ def scan_chunk(n_lo: int, n_hi: int) -> list[Survivor]:
     `visits` yields with integral (c, d) that passes `constraints.chain`."""
     out: list[Survivor] = []
     for n, m1, a, m2s in visits(n_lo, n_hi):
-        e1 = n - m1 - 1
         for m2 in m2s:
-            e2 = n - m2 - 1
-            c, c_rest = divmod(a * (n + 1) - e2, e1)
-            d, d_rest = divmod(a * (n + 1) - e1, e2)
-            if c_rest or d_rest:
-                continue
-            if all(ok for _, ok in chain(n, a, c, d, m1, m2)):
-                out.append((n, a, c, d, m1, m2))
+            cd = katz_cd(n, a, m1, m2)
+            if cd and all(ok for _, ok in chain(n, a, *cd, m1, m2)):
+                out.append((n, a, *cd, m1, m2))
     return out

@@ -2,6 +2,7 @@
 
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,8 @@ def _naive_pow_capped(a, e, cap):
 def naive_scan(n_lo, n_hi, a_max=None, implied_clauses=True):
     """Reference for scan_chunk: every (n, m1, m2, a) with a <= a_max,
     each pushed through the constraint chain with no loop bound derived
-    from the chain, and with the chain's full links 5 and 7. With
+    from the chain, and with link 7 and the bound c > d >= 2 written
+    out, which the chain proves from link 8. With
     implied_clauses, also through every other clause `constraints.chain`
     proves implied and drops."""
     out = []
@@ -161,7 +163,6 @@ def test_enumerate_full_range():
 
 
 @pytest.mark.parametrize("predicate, value, link", [
-    ("check_katz_consistency", False, "katz-consistency"),
     ("check_eh_divisibility", False, "eh-divisibility"),
     ("check_betti_gate", True, "cohomology-gate"),  # the gate on rejects m2 = 4
 ])
@@ -330,6 +331,26 @@ def test_visits_work_is_pinned():
     assert max(n for n, *_ in above_one) == 17
 
 
+def test_scan_funnel_is_pinned():
+    # the funnel of the scanned base: visits yields 44 ranges (42 with
+    # a >= 2) covering 48 tuples, 40 of them with non-integral (c, d); of
+    # the 8 that reach the chain, 6 fail eh-divisibility, none fails the
+    # cohomology gate and 2 survive
+    entries = list(visits(4, BASE_N_MAX))
+    assert len(entries) == 44
+    assert sum(a >= 2 for _, _, a, _ in entries) == 42
+    tuples = [(n, a, m1, m2) for n, m1, a, m2s in entries for m2 in m2s]
+    assert len(tuples) == 48
+    reach = [(n, a, *cd, m1, m2) for n, a, m1, m2 in tuples
+             if (cd := constraints.katz_cd(n, a, m1, m2))]
+    assert len(reach) == 8
+    first_failure = [next((cid for cid, ok in constraints.chain(*t) if not ok), None)
+                     for t in reach]
+    assert Counter(first_failure) == {"eh-divisibility": 6, None: 2}
+    assert scan_chunk(4, BASE_N_MAX) == [t for t, cid in zip(reach, first_failure)
+                                         if cid is None] == [CASE1, CASE2]
+
+
 def _a_ge_2_passing(n_lo, n_hi):
     """Every (n, m1, a, m2) with a >= 2 that passes links 1, 2 and 7, from
     the naive loop with no bound of scan.visits used."""
@@ -375,6 +396,19 @@ def test_scan_decides_with_the_named_predicates(monkeypatch):
     assert scan_chunk(4, 60) == []
     with pytest.raises(RuntimeError, match="fails predicate eh-divisibility"):
         _attribute(CASE1)
+
+
+def test_attribute_refuses_a_below_one():
+    # katz_cd reproduces (4, -1, -7, -3, 2, 1) and the chain passes it:
+    # the proof that link 8's positivity is d >= 2 takes a >= 1 as its
+    # premise, so the re-check refuses a <= 0 on the domain, before the
+    # chain would divide by 0^(n-m2) = 0
+    assert constraints.katz_cd(4, -1, 2, 1) == (-7, -3)
+    assert all(ok for _, ok in constraints.chain(4, -1, -7, -3, 2, 1))
+    for raw in ((4, -1, -7, -3, 2, 1), (4, 0, 2, 2, 2, 1)):
+        with pytest.raises(RuntimeError, match=f"^kernel survivor {re.escape(str(raw))} is "
+                                               f"outside the domain 1 <= m2 < m1 <= n-2, a >= 1$"):
+            _attribute(raw)
 
 
 def test_attribute_rejects_tuples_outside_the_domain():

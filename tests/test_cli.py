@@ -506,6 +506,7 @@ def test_verify_json_document(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
     assert list(doc) == ["meta", "steps", "survivors", "conclusion"]
+    assert list(doc["meta"]) == ["version", "config"]
     assert doc["conclusion"] == "quadro-cubic unique"
     assert doc["survivors"] == [[4, 1, 3, 2, 2, 1]]
     assert doc["meta"]["config"]["n_max"] == 9
@@ -516,6 +517,7 @@ def test_verify_text_output(capsys):
     code = run_cli(["verify", "--n-max", "9"])
     out = capsys.readouterr().out
     assert code == 0
+    assert out.splitlines()[0] == f"quadrocubic {quadrocubic.__version__}"
     assert "[pass] theorem-2case" in out
     assert "conclusion: quadro-cubic unique" in out
     assert ("[pass] theorem-2case\n"

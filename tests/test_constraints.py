@@ -7,7 +7,6 @@ from quadrocubic.constraints import (
     chain,
     check_degree_bound,
     check_eh_divisibility,
-    check_katz_consistency,
     katz_cd,
 )
 
@@ -47,6 +46,13 @@ def test_eh_divisibility():
     assert check_eh_divisibility(6, 2, 1, 32)
     # the exponent is n - m2 = 5: 2^4 divides 16, 2^5 does not
     assert not check_eh_divisibility(9, 2, 4, 16)
+    # the multiple must be positive: 0 and -32 are refused
+    assert not check_eh_divisibility(9, 1, 4, 0)
+    assert not check_eh_divisibility(9, 2, 4, -32)
+    # (n, a, m1, m2) = (6, 1, 2, 1) is in the domain, with c = d = 1, so
+    # cd-1 = 0 and the chain refuses it at its first link
+    assert katz_cd(6, 1, 2, 1) == (1, 1)
+    assert dict(chain(6, 1, 1, 1, 2, 1))["eh-divisibility"] is False
 
 
 def test_degree_bound():
@@ -64,23 +70,6 @@ def test_degree_bound_is_strict_and_exact():
     # fractional bound: (3/2)^4 = 81/16, so d2 = 5 passes and 6 fails
     assert check_degree_bound(5, 3, 2, 5, 1)
     assert not check_degree_bound(6, 3, 2, 5, 1)
-
-
-def test_katz_consistency():
-    # link 5 is d >= 2; c > d follows from the domain m2 < m1
-    assert check_katz_consistency(2)
-    assert not check_katz_consistency(1)
-    # (n, a, m1, m2) = (6, 1, 2, 1) is in the domain, with d = 1
-    assert katz_cd(6, 1, 2, 1) == (1, 1)
-    assert dict(chain(6, 1, 1, 1, 2, 1))["katz-consistency"] is False
-
-
-def test_katz_consistency_reproduces_cd():
-    # any tuple passing the consistency check reproduces (c, d) in closed form
-    for tup in [(4, 1, 3, 2, 2, 1), (9, 1, 3, 2, 6, 4)]:
-        n, a, c, d, m1, m2 = tup
-        assert check_katz_consistency(d)
-        assert katz_cd(n, a, m1, m2) == (c, d)
 
 
 def test_katz_identities_hold_for_integral_output():
@@ -101,8 +90,9 @@ def test_katz_identities_hold_for_integral_output():
 def test_dropped_clauses_are_implied():
     # the proof in `chain`, on every tuple of the naive loop with integral
     # (c, d): each clause the chain dropped holds under the premise its
-    # proof states, and the estimate's divisibility is exactly link 8
-    met = {"integral": 0, "link 8": 0, "d >= 2": 0}
+    # proof states, and the estimate's positivity and divisibility
+    # together are exactly link 8
+    met = {"integral": 0, "link 8": 0, "c = d = 1": 0}
     for n, m1, m2, a in _visited_tuples(60):
         cd = katz_cd(n, a, m1, m2)
         if cd is None:
@@ -116,33 +106,37 @@ def test_dropped_clauses_are_implied():
         assert (m2 - m1 - a * (m2 + 2)) % e2 == 0
         numer = a * (n + 1) ** 2 - (n + 1) * (2 * n - 2 - m1 - m2)
         link8 = check_eh_divisibility(n, a, m2, cdm1)
-        assert (numer % (e1 * e2 * a**e2) == 0) == link8
+        assert (numer > 0 and numer % (e1 * e2 * a**e2) == 0) == link8
         if link8:
-            assert cdm1 % a == 0
-        if check_katz_consistency(d):
-            assert numer > 0
+            assert cdm1 % a == 0 and c > d >= 2
         met["integral"] += 1
         met["link 8"] += link8
-        met["d >= 2"] += check_katz_consistency(d)
+        met["c = d = 1"] += c == d == 1
     assert all(met.values()), met
 
 
 def test_domain_implies_dropped_clauses():
-    # the proof in `chain`: on the domain 1 <= m2 < m1 <= n-2, every
-    # integral (c, d) with d >= 2 has c > d and meets link 7's second
-    # inequality, and if it also passes link 8 it passes link 7. Checked on
-    # the whole domain up to n = 80 and every a <= 8, with neither link 1's
-    # gate nor link 2's bound on a, which the naive loop applies
-    met = link8 = 0
+    # the proof in `chain`: on its premise a >= 1, 1 <= m2 < m1 <= n-2,
+    # every integral (c, d) has c, d >= 1, and cd-1 > 0 exactly when
+    # d >= 2; then c > d and link 7's second inequality hold, and if link
+    # 8 holds too, link 7 does. Checked on the whole domain up to n = 80
+    # and every a <= 8, with neither link 1's gate nor link 2's bound on
+    # a, which the naive loop applies
+    integral = met = link8 = 0
     for n in range(4, 81):
         for m1 in range(2, n - 1):
             e1 = n - m1 - 1
             for m2 in range(1, m1):
                 e2 = n - m2 - 1
                 for a in range(1, 9):
-                    c, c_rest = divmod(a * (n + 1) - e2, e1)
-                    d, d_rest = divmod(a * (n + 1) - e1, e2)
-                    if c_rest or d_rest or not check_katz_consistency(d):
+                    cd = katz_cd(n, a, m1, m2)
+                    if cd is None:
+                        continue
+                    c, d = cd
+                    integral += 1
+                    assert c >= 1 and d >= 1, (n, a, m1, m2)
+                    assert (c * d - 1 > 0) == (d >= 2), (n, a, m1, m2)
+                    if d < 2:
                         continue
                     assert c > d, (n, a, m1, m2)
                     assert a ** (e2 - 1) * e2 >= a**e1 * (e1 + 1), (n, a, m1, m2)
@@ -150,10 +144,10 @@ def test_domain_implies_dropped_clauses():
                         assert a ** (e2 - 1) * e2 * e1 < (n + 1) ** 2, (n, a, m1, m2)
                         link8 += 1
                     met += 1
-    assert met == 5454 and link8 == 573
+    assert (integral, met, link8) == (6898, 5454, 573)
 
 
-CHAIN_IDS = ["katz-consistency", "eh-divisibility", "cohomology-gate"]
+CHAIN_IDS = ["eh-divisibility", "cohomology-gate"]
 
 
 def test_chain_ids_and_order():
@@ -168,6 +162,6 @@ def test_chain_stops_at_the_first_failure(monkeypatch):
     def unreachable(*args):
         raise AssertionError("link after a failure was evaluated")
 
-    monkeypatch.setattr(constraints, "check_eh_divisibility", unreachable)
-    # d = 1 fails katz-consistency, the first link
-    assert not all(ok for _, ok in chain(4, 1, 3, 1, 2, 1))
+    monkeypatch.setattr(constraints, "check_betti_gate", unreachable)
+    # c = d = 1 makes cd-1 = 0, which fails eh-divisibility, the first link
+    assert not all(ok for _, ok in chain(6, 1, 1, 1, 2, 1))
