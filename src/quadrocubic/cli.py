@@ -55,13 +55,8 @@ def render_text(document: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(document: dict, as_json: bool, path: str | None):
-    text = json.dumps(document, indent=2) + "\n" if as_json else render_text(document)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(document: dict, as_json: bool):
+    sys.stdout.write(json.dumps(document, indent=2) + "\n" if as_json else render_text(document))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=200)
     p_verify.add_argument("--ineq-max", type=int, default=100000)
     p_verify.add_argument("--threads", type=int, default=1)
-    p_verify.add_argument("--report", metavar="PATH")
     p_verify.add_argument("--json", action="store_true")
 
     p_enum = sub.add_parser("enumerate", help="run the candidate scan")
@@ -141,10 +135,7 @@ def run_cli(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             return _usage_error(exc)
         config = {"n_max": args.n_max, "ineq_max": args.ineq_max, "threads": args.threads}
-        try:
-            _emit(report_document(report, config), args.json, args.report)
-        except OSError as exc:
-            return _usage_error(str(exc).replace(repr(args.report), quote(args.report)))
+        _emit(report_document(report, config), args.json)
         return 0 if report["conclusion"] == "quadro-cubic unique" else 1
 
     if args.command == "enumerate":

@@ -24,6 +24,7 @@ from quadrocubic.lattice import apply, inverse, solve_basis_change
 from quadrocubic.parser import parse_expr
 from quadrocubic.ringeval import IntersectionTable, LinearForm, solve_unknowns
 
+from naive import naive_tuples
 from test_parser import _random_expr, print_expr
 from test_ringeval import (
     CASE2_SOLUTION,
@@ -201,26 +202,6 @@ def test_criterion_8_property_suites():
     assert _verdict(8, "property suites (expansion, basis change, parser)", ok)
 
 
-def _visited_tuples(n_max):
-    """Yield every (n, m1, m2, a) of the naive scan loop: all m2 the
-    cohomology gate admits and every a up to link 2's bound. The kernel
-    visits a subset of these."""
-    for n in range(4, n_max + 1):
-        n1sq = (n + 1) ** 2
-        for m1 in range(2, n - 1):
-            e1 = n - m1 - 1
-            gate = 4 * m1 >= 3 * n - 2
-            for m2 in range(1, m1):
-                if gate and m2 > n - m1 - 2:
-                    continue
-                a = 0
-                while True:
-                    a += 1
-                    if min(a**e1, n1sq + 1) * (n - m1) * e1 > n1sq:
-                        break
-                    yield n, m1, m2, a
-
-
 def test_criterion_9_cd_identity_on_scan():
     # the identity (cd-1)*e1*e2 = a*num of the proof in constraints.chain,
     # num = a*N^2 - N*(e1+e2): for c*e1 = a*N - e2 and d*e2 = a*N - e1,
@@ -228,7 +209,7 @@ def test_criterion_9_cd_identity_on_scan():
     # and on katz_cd's (c, d) itself where it is integral
     ok = True
     count = 0
-    for n, m1, m2, a in _visited_tuples(200):
+    for n, m1, m2, a in naive_tuples(4, 200):
         e1, e2, an = n - m1 - 1, n - m2 - 1, a * (n + 1)
         a_num = an * (an - e1 - e2)  # a*num
         ok &= (an - e2) * (an - e1) - e1 * e2 == a_num

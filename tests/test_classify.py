@@ -24,56 +24,30 @@ from quadrocubic import classify, constraints, scan
 from quadrocubic.constraints import check_degree_bound
 from quadrocubic.scan import BASE_N_MAX, scan_chunk, visits
 
-
-def _naive_pow_capped(a, e, cap):
-    """min(a**e, cap+1), with a**e = 1 for e <= 0: a power the naive loops
-    compare with cap, bounded so that no loop builds a huge integer."""
-    return min(a ** max(e, 0), cap + 1)
+from naive import naive_tuples, passes_link7, pow_capped
 
 
-def naive_scan(n_lo, n_hi, a_max=None, implied_clauses=True):
-    """Reference for scan_chunk: every (n, m1, m2, a) with a <= a_max,
-    each pushed through the constraint chain with no loop bound derived
-    from the chain, and with link 7 and the bound c > d >= 2 written
-    out, which the chain proves from link 8. With
-    implied_clauses, also through every other clause `constraints.chain`
-    proves implied and drops."""
-    out = []
-    for n in range(max(4, n_lo), n_hi + 1):
-        n1sq = (n + 1) ** 2
-        for m1 in range(2, n - 1):
-            e1 = n - m1 - 1
-            gate = 4 * m1 >= 3 * n - 2
-            for m2 in range(1, m1):
-                if gate and m2 > n - m1 - 2:
-                    continue
-                e2 = n - m2 - 1
-                a = 0
-                while True:
-                    a += 1
-                    if a_max is not None and a > a_max:
-                        break
-                    if _naive_pow_capped(a, e1, n1sq) * (n - m1) * e1 > n1sq:
-                        break
-                    num_c = a * (n + 1) - e2
-                    num_d = a * (n + 1) - e1
-                    if num_c % e1 or num_d % e2:
-                        continue
-                    c = num_c // e1
-                    d = num_d // e2
-                    if not (c > d >= 2):
-                        continue
-                    cdm1 = c * d - 1
-                    if implied_clauses and _fails_implied_clauses(n, a, c, d, m1, m2):
-                        continue
-                    if _naive_pow_capped(a, e2 - 1, n1sq) * e2 * e1 >= n1sq:
-                        continue
-                    if _naive_pow_capped(a, e2 - 1 - e1, n - m1) * e2 < n - m1:
-                        continue
-                    eh_pow = _naive_pow_capped(a, e2 + 1, cdm1)
-                    if eh_pow > cdm1 or cdm1 % eh_pow:
-                        continue
-                    out.append((n, a, c, d, m1, m2))
+def naive_scan(n_lo, n_hi, a_hi=None):
+    """Reference for scan_chunk: the set of (n, a, c, d, m1, m2) over
+    naive_tuples, each pushed through the constraint chain with no loop
+    bound derived from the chain, and with link 7 and the bound
+    c > d >= 2 written out, which the chain proves from link 8."""
+    out = set()
+    for n, m1, m2, a in naive_tuples(n_lo, n_hi, a_hi=a_hi):
+        e1, e2 = n - m1 - 1, n - m2 - 1
+        num_c, num_d = a * (n + 1) - e2, a * (n + 1) - e1
+        if num_c % e1 or num_d % e2:
+            continue
+        c, d = num_c // e1, num_d // e2
+        if not (c > d >= 2) or not passes_link7(n, m1, m2, a):
+            continue
+        if pow_capped(a, e2 - 1 - e1, n - m1) * e2 < n - m1:
+            continue
+        cdm1 = c * d - 1
+        eh_pow = pow_capped(a, e2 + 1, cdm1)
+        if eh_pow > cdm1 or cdm1 % eh_pow:
+            continue
+        out.add((n, a, c, d, m1, m2))
     return out
 
 
@@ -92,7 +66,7 @@ def _fails_implied_clauses(n, a, c, d, m1, m2):
     numer = a * (n + 1) ** 2 - (n + 1) * (2 * n - 2 - m1 - m2)
     if numer <= 0:
         return True
-    divisor = e1 * e2 * _naive_pow_capped(a, e2, numer)
+    divisor = e1 * e2 * pow_capped(a, e2, numer)
     return divisor > numer or numer % divisor != 0
 
 
@@ -218,37 +192,24 @@ def test_enumerate_huge_range_and_workers_is_bounded(monkeypatch):
     assert chunks == [(n, n) for n in range(4, BASE_N_MAX + 1)]
 
 
-# implied_clauses: whether the oracle also runs the clauses the chain
-# drops as implied; the kernel must agree either way
-@pytest.mark.parametrize("implied_clauses", [True, False])
-def test_kernel_agrees_with_naive_oracle(implied_clauses):
-    expected = sorted(naive_scan(4, 60, implied_clauses=implied_clauses))
-    assert sorted(scan_chunk(4, 60)) == expected
+def test_kernel_agrees_with_naive_oracle():
+    # the kernel keeps what the naive chain keeps, and every tuple it keeps
+    # also passes the clauses the chain drops as implied
+    expected = naive_scan(4, 60)
+    assert expected == {t for t in expected if not _fails_implied_clauses(*t)}
+    assert sorted(scan_chunk(4, 60)) == sorted(expected)
     split = scan_chunk(4, 30) + scan_chunk(31, 60)
-    assert sorted(split) == expected
+    assert sorted(split) == sorted(expected)
 
 
 def _bounded_tuples(n_max):
     """(all (n, m1, a, m2) passing links 1 and 2, the subset of those that
     also pass the integrality of c and link 7), from the naive loop."""
     domain, kept = set(), set()
-    for n in range(4, n_max + 1):
-        n1sq = (n + 1) ** 2
-        for m1 in range(2, n - 1):
-            e1 = n - m1 - 1
-            for m2 in range(1, m1):
-                if 4 * m1 >= 3 * n - 2 and m2 > n - m1 - 2:
-                    continue
-                e2 = n - m2 - 1
-                a = 1
-                while True:
-                    if min(a**e1, n1sq + 1) * (n - m1) * e1 > n1sq:
-                        break
-                    domain.add((n, m1, a, m2))
-                    if ((a * (n + 1) - e2) % e1 == 0
-                            and min(a ** (e2 - 1), n1sq + 1) * e2 * e1 < n1sq):
-                        kept.add((n, m1, a, m2))
-                    a += 1
+    for n, m1, m2, a in naive_tuples(4, n_max):
+        domain.add((n, m1, a, m2))
+        if (a * (n + 1) - (n - m2 - 1)) % (n - m1 - 1) == 0 and passes_link7(n, m1, m2, a):
+            kept.add((n, m1, a, m2))
     return domain, kept
 
 
@@ -268,11 +229,12 @@ def test_visits_skip_only_tuples_the_chain_rejects(split):
     assert set(visited) - above_one == {(4, 2, 1, 1), (9, 6, 1, 4)}
 
 
-@pytest.mark.parametrize("implied_clauses", [True, False])
-def test_a1_lemma_matches_naive_chain(implied_clauses):
+def test_a1_lemma_matches_naive_chain():
     # the closed-form lemma in scan.visits: with a = 1 the whole chain
-    # keeps exactly the two cases, whatever n
-    assert naive_scan(4, 200, 1, implied_clauses) == [CASE1, CASE2]
+    # keeps exactly the two cases, whatever n, and they pass the clauses
+    # it drops as implied
+    kept = naive_scan(4, 200, a_hi=1)
+    assert kept == {t for t in kept if not _fails_implied_clauses(*t)} == {CASE1, CASE2}
 
 
 def _passes_attribute(raw):
@@ -283,28 +245,21 @@ def _passes_attribute(raw):
     return True
 
 
-@pytest.mark.parametrize("implied_clauses", [True, False])
-def test_named_predicates_agree_with_naive_chain(implied_clauses):
+def test_named_predicates_agree_with_naive_chain():
     # every (n, m1, m2, a) of the naive loop with integral c, d, including
     # the m2 the cohomology gate rejects: the named predicates _attribute
-    # re-checks pass exactly the tuples the naive chain keeps, with or
-    # without every clause the reduced chain proves implied
+    # re-checks pass exactly the tuples the naive chain keeps, which also
+    # pass every clause the reduced chain proves implied
     passing = set()
-    for n in range(4, 41):
-        n1sq = (n + 1) ** 2
-        for m1 in range(2, n - 1):
-            e1 = n - m1 - 1
-            for m2 in range(1, m1):
-                e2 = n - m2 - 1
-                a = 1
-                while _naive_pow_capped(a, e1, n1sq) * (n - m1) * e1 <= n1sq:
-                    num_c, num_d = a * (n + 1) - e2, a * (n + 1) - e1
-                    if num_c % e1 == 0 and num_d % e2 == 0:
-                        raw = (n, a, num_c // e1, num_d // e2, m1, m2)
-                        if _passes_attribute(raw):
-                            passing.add(raw)
-                    a += 1
-    assert passing == set(naive_scan(4, 40, implied_clauses=implied_clauses))
+    for n, m1, m2, a in naive_tuples(4, 40, gate=False):
+        e1, e2 = n - m1 - 1, n - m2 - 1
+        num_c, num_d = a * (n + 1) - e2, a * (n + 1) - e1
+        if num_c % e1 == 0 and num_d % e2 == 0:
+            raw = (n, a, num_c // e1, num_d // e2, m1, m2)
+            if _passes_attribute(raw):
+                passing.add(raw)
+    kept = naive_scan(4, 40)
+    assert passing == kept == {t for t in kept if not _fails_implied_clauses(*t)}
 
 
 def test_visits_settles_large_n_without_a_power(monkeypatch):
@@ -354,22 +309,8 @@ def test_scan_funnel_is_pinned():
 def _a_ge_2_passing(n_lo, n_hi):
     """Every (n, m1, a, m2) with a >= 2 that passes links 1, 2 and 7, from
     the naive loop with no bound of scan.visits used."""
-    passing = []
-    for n in range(n_lo, n_hi + 1):
-        n1sq = (n + 1) ** 2
-        for m1 in range(2, n - 1):
-            e1 = n - m1 - 1
-            gate = 4 * m1 >= 3 * n - 2
-            for m2 in range(1, m1):
-                if gate and m2 > n - m1 - 2:
-                    continue
-                e2 = n - m2 - 1
-                a = 2
-                while _naive_pow_capped(a, e1, n1sq) * (n - m1) * e1 <= n1sq:
-                    if _naive_pow_capped(a, e2 - 1, n1sq) * e2 * e1 < n1sq:
-                        passing.append((n, m1, a, m2))
-                    a += 1
-    return passing
+    return [(n, m1, a, m2) for n, m1, m2, a in naive_tuples(n_lo, n_hi, a_lo=2)
+            if passes_link7(n, m1, m2, a)]
 
 
 def test_a_ge_2_lemma_threshold_is_exact(monkeypatch):
@@ -426,7 +367,8 @@ def test_enumerate_large_n():
     assert enumerate_candidates(10**4) == [CASE1, CASE2]
 
 
-def test_scan_backend_reported():
+def test_scan_backend_machine_fact():
+    # perfbench's machine facts record it as scan_backend; no report states it
     assert scan_backend() == "python"
 
 

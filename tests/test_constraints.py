@@ -10,7 +10,7 @@ from quadrocubic.constraints import (
     katz_cd,
 )
 
-from test_acceptance import _visited_tuples
+from naive import naive_tuples
 
 
 def test_katz_cd_examples():
@@ -19,25 +19,6 @@ def test_katz_cd_examples():
     # c = 3 but d = 5/3, and c = 2 but d = 3/2: not integral
     assert katz_cd(5, 1, 3, 1) is None
     assert katz_cd(7, 1, 4, 2) is None
-
-
-def test_cd_minus_one_identity():
-    # the proof in `chain` rests on (cd-1)*e1*e2 = a*N*(a*N - e1 - e2) for
-    # the (c, d) of the canonical-class relations; katz_cd's must meet it
-    # wherever they are integral, which they are on 831 of these tuples
-    integral = 0
-    for n in range(4, 40):
-        for m1 in range(2, n - 1):
-            e1 = n - m1 - 1
-            for m2 in range(1, m1):
-                e2 = n - m2 - 1
-                for a in range(1, 4):
-                    cd = katz_cd(n, a, m1, m2)
-                    if cd is not None:
-                        an = a * (n + 1)
-                        assert (cd[0] * cd[1] - 1) * e1 * e2 == an * (an - e1 - e2)
-                        integral += 1
-    assert integral == 831
 
 
 def test_eh_divisibility():
@@ -72,28 +53,13 @@ def test_degree_bound_is_strict_and_exact():
     assert not check_degree_bound(6, 3, 2, 5, 1)
 
 
-def test_katz_identities_hold_for_integral_output():
-    # whenever katz_cd returns integers, the two canonical-class identities
-    # of the assembled tuple hold automatically
-    for n in range(4, 60):
-        for m1 in range(2, n - 1):
-            for m2 in range(1, m1):
-                cd = katz_cd(n, 1, m1, m2)
-                if cd is None:
-                    continue
-                c, d = cd
-                cdm1 = c * d - 1
-                assert (d - 1) * (n + 1) == (n - m1 - 1) * cdm1
-                assert (c - 1) * (n + 1) == (n - m2 - 1) * cdm1
-
-
 def test_dropped_clauses_are_implied():
     # the proof in `chain`, on every tuple of the naive loop with integral
     # (c, d): each clause the chain dropped holds under the premise its
     # proof states, and the estimate's positivity and divisibility
     # together are exactly link 8
     met = {"integral": 0, "link 8": 0, "c = d = 1": 0}
-    for n, m1, m2, a in _visited_tuples(60):
+    for n, m1, m2, a in naive_tuples(4, 60):
         cd = katz_cd(n, a, m1, m2)
         if cd is None:
             continue
@@ -117,12 +83,14 @@ def test_dropped_clauses_are_implied():
 
 def test_domain_implies_dropped_clauses():
     # the proof in `chain`: on its premise a >= 1, 1 <= m2 < m1 <= n-2,
-    # every integral (c, d) has c, d >= 1, and cd-1 > 0 exactly when
-    # d >= 2; then c > d and link 7's second inequality hold, and if link
-    # 8 holds too, link 7 does. Checked on the whole domain up to n = 80
-    # and every a <= 8, with neither link 1's gate nor link 2's bound on
-    # a, which the naive loop applies
-    integral = met = link8 = 0
+    # every integral (c, d) meets the identity (cd-1)*e1*e2 =
+    # a*N*(a*N - e1 - e2) and the canonical-class identities, has
+    # c, d >= 1, and cd-1 > 0 exactly when d >= 2; then c > d and link 7's
+    # second inequality hold, and if link 8 holds too, link 7 does.
+    # Checked on the whole domain up to n = 80 and every a <= 8, with
+    # neither link 1's gate nor link 2's bound on a, which the naive loop
+    # applies; 831 of the integral tuples have n < 40 and a <= 3
+    integral = small = met = link8 = 0
     for n in range(4, 81):
         for m1 in range(2, n - 1):
             e1 = n - m1 - 1
@@ -134,17 +102,21 @@ def test_domain_implies_dropped_clauses():
                         continue
                     c, d = cd
                     integral += 1
+                    small += n < 40 and a <= 3
+                    an, cdm1 = a * (n + 1), c * d - 1
+                    assert cdm1 * e1 * e2 == an * (an - e1 - e2), (n, a, m1, m2)
+                    assert an * (d - 1) == e1 * cdm1 and an * (c - 1) == e2 * cdm1, (n, a, m1, m2)
                     assert c >= 1 and d >= 1, (n, a, m1, m2)
-                    assert (c * d - 1 > 0) == (d >= 2), (n, a, m1, m2)
+                    assert (cdm1 > 0) == (d >= 2), (n, a, m1, m2)
                     if d < 2:
                         continue
                     assert c > d, (n, a, m1, m2)
                     assert a ** (e2 - 1) * e2 >= a**e1 * (e1 + 1), (n, a, m1, m2)
-                    if check_eh_divisibility(n, a, m2, c * d - 1):
+                    if check_eh_divisibility(n, a, m2, cdm1):
                         assert a ** (e2 - 1) * e2 * e1 < (n + 1) ** 2, (n, a, m1, m2)
                         link8 += 1
                     met += 1
-    assert (integral, met, link8) == (6898, 5454, 573)
+    assert (integral, small, met, link8) == (6898, 831, 5454, 573)
 
 
 CHAIN_IDS = ["eh-divisibility", "cohomology-gate"]

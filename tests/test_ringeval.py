@@ -77,7 +77,7 @@ def _eval_product(factors, table):
     return eval_expr(parse_expr(_product_text(factors)), table.n, table.m, table.deg)
 
 
-def test_eh_value_examples():
+def test_table_entry_examples():
     table = IntersectionTable(9, 4, "d2")
     assert form_terms(table.entry(5)) == ({(0, 1): 1}, {})
     assert form_terms(table.entry(3)) == ({}, {})
@@ -86,7 +86,7 @@ def test_eh_value_examples():
     assert form_terms(table.entry(7)) == ({}, {"u7": {(0, 0): 1}})
 
 
-def test_eh_value_range_error():
+def test_table_entry_range_error():
     table = IntersectionTable(9, 4, "d2")
     with pytest.raises(DegreeMismatch):
         table.entry(10)
@@ -94,7 +94,7 @@ def test_eh_value_range_error():
         table.entry(-1)
 
 
-def test_eh_value_sign_parity():
+def test_table_entry_sign_parity():
     # the codimension entry flips sign exactly when n - m changes parity
     for n in range(4, 12):
         for m in range(1, n - 1):
