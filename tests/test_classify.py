@@ -1,5 +1,6 @@
 """Tests for the classification pipeline and the case-2 exclusion."""
 
+import functools
 import math
 import re
 from collections import Counter
@@ -27,11 +28,13 @@ from quadrocubic.scan import BASE_N_MAX, scan_chunk, visits
 from naive import naive_tuples, passes_link7, pow_capped
 
 
+@functools.lru_cache(maxsize=None)
 def naive_scan(n_lo, n_hi, a_hi=None):
     """Reference for scan_chunk: the set of (n, a, c, d, m1, m2) over
     naive_tuples, each pushed through the constraint chain with no loop
     bound derived from the chain, and with link 7 and the bound
-    c > d >= 2 written out, which the chain proves from link 8."""
+    c > d >= 2 written out, which the chain proves from link 8. Cached,
+    so the tests that filter one domain walk it once."""
     out = set()
     for n, m1, m2, a in naive_tuples(n_lo, n_hi, a_hi=a_hi):
         e1, e2 = n - m1 - 1, n - m2 - 1
@@ -48,7 +51,7 @@ def naive_scan(n_lo, n_hi, a_hi=None):
         if eh_pow > cdm1 or cdm1 % eh_pow:
             continue
         out.add((n, a, c, d, m1, m2))
-    return out
+    return frozenset(out)
 
 
 def _fails_implied_clauses(n, a, c, d, m1, m2):
@@ -68,6 +71,15 @@ def _fails_implied_clauses(n, a, c, d, m1, m2):
         return True
     divisor = e1 * e2 * pow_capped(a, e2, numer)
     return divisor > numer or numer % divisor != 0
+
+
+def naive_oracle(n_lo, n_hi, a_hi=None, implied_clauses=True):
+    """naive_scan's set, and with implied_clauses only the tuples that
+    also pass every clause `constraints.chain` drops as implied."""
+    kept = naive_scan(n_lo, n_hi, a_hi)
+    if not implied_clauses:
+        return set(kept)
+    return {t for t in kept if not _fails_implied_clauses(*t)}
 
 
 def test_a1_inequality_examples():
@@ -192,25 +204,27 @@ def test_enumerate_huge_range_and_workers_is_bounded(monkeypatch):
     assert chunks == [(n, n) for n in range(4, BASE_N_MAX + 1)]
 
 
-def test_kernel_agrees_with_naive_oracle():
-    # the kernel keeps what the naive chain keeps, and every tuple it keeps
-    # also passes the clauses the chain drops as implied
-    expected = naive_scan(4, 60)
-    assert expected == {t for t in expected if not _fails_implied_clauses(*t)}
+# implied_clauses: whether the oracle also runs the clauses the chain
+# drops as implied; both cases filter one cached walk of the domain
+@pytest.mark.parametrize("implied_clauses", [True, False])
+def test_kernel_agrees_with_naive_oracle(implied_clauses):
+    expected = naive_oracle(4, 60, implied_clauses=implied_clauses)
     assert sorted(scan_chunk(4, 60)) == sorted(expected)
     split = scan_chunk(4, 30) + scan_chunk(31, 60)
     assert sorted(split) == sorted(expected)
 
 
+@functools.lru_cache(maxsize=None)
 def _bounded_tuples(n_max):
     """(all (n, m1, a, m2) passing links 1 and 2, the subset of those that
-    also pass the integrality of c and link 7), from the naive loop."""
+    also pass the integrality of c and link 7), from the naive loop;
+    cached, so both splits of the test below share one walk."""
     domain, kept = set(), set()
     for n, m1, m2, a in naive_tuples(4, n_max):
         domain.add((n, m1, a, m2))
         if (a * (n + 1) - (n - m2 - 1)) % (n - m1 - 1) == 0 and passes_link7(n, m1, m2, a):
             kept.add((n, m1, a, m2))
-    return domain, kept
+    return frozenset(domain), frozenset(kept)
 
 
 @pytest.mark.parametrize("split", [True, False])
@@ -229,12 +243,12 @@ def test_visits_skip_only_tuples_the_chain_rejects(split):
     assert set(visited) - above_one == {(4, 2, 1, 1), (9, 6, 1, 4)}
 
 
-def test_a1_lemma_matches_naive_chain():
+@pytest.mark.parametrize("implied_clauses", [True, False])
+def test_a1_lemma_matches_naive_chain(implied_clauses):
     # the closed-form lemma in scan.visits: with a = 1 the whole chain
-    # keeps exactly the two cases, whatever n, and they pass the clauses
+    # keeps exactly the two cases, whatever n, with or without the clauses
     # it drops as implied
-    kept = naive_scan(4, 200, a_hi=1)
-    assert kept == {t for t in kept if not _fails_implied_clauses(*t)} == {CASE1, CASE2}
+    assert naive_oracle(4, 200, 1, implied_clauses) == {CASE1, CASE2}
 
 
 def _passes_attribute(raw):
@@ -245,21 +259,28 @@ def _passes_attribute(raw):
     return True
 
 
-def test_named_predicates_agree_with_naive_chain():
-    # every (n, m1, m2, a) of the naive loop with integral c, d, including
-    # the m2 the cohomology gate rejects: the named predicates _attribute
-    # re-checks pass exactly the tuples the naive chain keeps, which also
-    # pass every clause the reduced chain proves implied
+@functools.lru_cache(maxsize=None)
+def _attribute_passing(n_lo, n_hi):
+    """The (n, a, c, d, m1, m2) with integral c, d that _attribute passes,
+    over naive_tuples without link 1's gate."""
     passing = set()
-    for n, m1, m2, a in naive_tuples(4, 40, gate=False):
+    for n, m1, m2, a in naive_tuples(n_lo, n_hi, gate=False):
         e1, e2 = n - m1 - 1, n - m2 - 1
         num_c, num_d = a * (n + 1) - e2, a * (n + 1) - e1
         if num_c % e1 == 0 and num_d % e2 == 0:
             raw = (n, a, num_c // e1, num_d // e2, m1, m2)
             if _passes_attribute(raw):
                 passing.add(raw)
-    kept = naive_scan(4, 40)
-    assert passing == kept == {t for t in kept if not _fails_implied_clauses(*t)}
+    return frozenset(passing)
+
+
+@pytest.mark.parametrize("implied_clauses", [True, False])
+def test_named_predicates_agree_with_naive_chain(implied_clauses):
+    # every (n, m1, m2, a) of the naive loop with integral c, d, including
+    # the m2 the cohomology gate rejects: the named predicates _attribute
+    # re-checks pass exactly the tuples the naive chain keeps, with or
+    # without every clause the reduced chain proves implied
+    assert _attribute_passing(4, 40) == naive_oracle(4, 40, implied_clauses=implied_clauses)
 
 
 def test_visits_settles_large_n_without_a_power(monkeypatch):

@@ -1,5 +1,7 @@
 """Tests for the named numerical constraint predicates."""
 
+import functools
+
 import pytest
 
 from quadrocubic import constraints
@@ -81,42 +83,65 @@ def test_dropped_clauses_are_implied():
     assert all(met.values()), met
 
 
-def test_domain_implies_dropped_clauses():
-    # the proof in `chain`: on its premise a >= 1, 1 <= m2 < m1 <= n-2,
-    # every integral (c, d) meets the identity (cd-1)*e1*e2 =
-    # a*N*(a*N - e1 - e2) and the canonical-class identities, has
-    # c, d >= 1, and cd-1 > 0 exactly when d >= 2; then c > d and link 7's
-    # second inequality hold, and if link 8 holds too, link 7 does.
-    # Checked on the whole domain up to n = 80 and every a <= 8, with
-    # neither link 1's gate nor link 2's bound on a, which the naive loop
-    # applies; 831 of the integral tuples have n < 40 and a <= 3
-    integral = small = met = link8 = 0
+@functools.lru_cache(maxsize=None)
+def _integral_domain():
+    """Every (n, m1, m2, a, c, d) of chain's premise a >= 1,
+    1 <= m2 < m1 <= n-2 with n <= 80, a <= 8 and integral katz_cd, with
+    neither link 1's gate nor link 2's bound on a, which the naive loop
+    applies. Cached, so the identity tests below walk the domain once."""
+    out = []
     for n in range(4, 81):
         for m1 in range(2, n - 1):
-            e1 = n - m1 - 1
             for m2 in range(1, m1):
-                e2 = n - m2 - 1
                 for a in range(1, 9):
                     cd = katz_cd(n, a, m1, m2)
-                    if cd is None:
-                        continue
-                    c, d = cd
-                    integral += 1
-                    small += n < 40 and a <= 3
-                    an, cdm1 = a * (n + 1), c * d - 1
-                    assert cdm1 * e1 * e2 == an * (an - e1 - e2), (n, a, m1, m2)
-                    assert an * (d - 1) == e1 * cdm1 and an * (c - 1) == e2 * cdm1, (n, a, m1, m2)
-                    assert c >= 1 and d >= 1, (n, a, m1, m2)
-                    assert (cdm1 > 0) == (d >= 2), (n, a, m1, m2)
-                    if d < 2:
-                        continue
-                    assert c > d, (n, a, m1, m2)
-                    assert a ** (e2 - 1) * e2 >= a**e1 * (e1 + 1), (n, a, m1, m2)
-                    if check_eh_divisibility(n, a, m2, cdm1):
-                        assert a ** (e2 - 1) * e2 * e1 < (n + 1) ** 2, (n, a, m1, m2)
-                        link8 += 1
-                    met += 1
-    assert (integral, small, met, link8) == (6898, 831, 5454, 573)
+                    if cd is not None:
+                        out.append((n, m1, m2, a) + cd)
+    return tuple(out)
+
+
+def test_cd_minus_one_identity():
+    # the proof in `chain` rests on (cd-1)*e1*e2 = a*N*(a*N - e1 - e2) for
+    # the (c, d) of the canonical-class relations; katz_cd's must meet it
+    # wherever they are integral, which they are on 831 of the tuples with
+    # n < 40 and a <= 3
+    small = 0
+    for n, m1, m2, a, c, d in _integral_domain():
+        e1, e2, an = n - m1 - 1, n - m2 - 1, a * (n + 1)
+        assert (c * d - 1) * e1 * e2 == an * (an - e1 - e2), (n, a, m1, m2)
+        small += n < 40 and a <= 3
+    assert small == 831
+
+
+def test_katz_identities_hold_for_integral_output():
+    # whenever katz_cd returns integers, the two canonical-class identities
+    # of the assembled tuple hold automatically
+    for n, m1, m2, a, c, d in _integral_domain():
+        an, cdm1 = a * (n + 1), c * d - 1
+        assert an * (d - 1) == (n - m1 - 1) * cdm1, (n, a, m1, m2)
+        assert an * (c - 1) == (n - m2 - 1) * cdm1, (n, a, m1, m2)
+
+
+def test_domain_implies_dropped_clauses():
+    # the proof in `chain`: on its premise, every integral (c, d) of
+    # _integral_domain has c, d >= 1, and cd-1 > 0 exactly when d >= 2;
+    # then c > d and link 7's second inequality hold, and if link 8 holds
+    # too, link 7 does
+    integral = met = link8 = 0
+    for n, m1, m2, a, c, d in _integral_domain():
+        e1, e2, cdm1 = n - m1 - 1, n - m2 - 1, c * d - 1
+        integral += 1
+        assert c >= 1 and d >= 1, (n, a, m1, m2)
+        assert (cdm1 > 0) == (d >= 2), (n, a, m1, m2)
+        if d < 2:
+            continue
+        assert c > d, (n, a, m1, m2)
+        assert a ** (e2 - 1) * e2 >= a**e1 * (e1 + 1), (n, a, m1, m2)
+        if check_eh_divisibility(n, a, m2, cdm1):
+            assert a ** (e2 - 1) * e2 * e1 < (n + 1) ** 2, (n, a, m1, m2)
+            link8 += 1
+        met += 1
+    assert (integral, met, link8) == (6898, 5454, 573)
 
 
 CHAIN_IDS = ["eh-divisibility", "cohomology-gate"]
