@@ -23,7 +23,7 @@ from .constraints import chain, check_degree_bound, katz_cd
 from .evaluate import eval_expr
 from .lattice import apply, canonical_class, inverse, solve_basis_change
 from .parser import clip, parse_expr
-from .ringeval import IntersectionTable, NotIntegral, format_poly, solve_unknowns
+from .ringeval import IntersectionTable, format_poly, solve_unknowns
 from .scan import BASE_N_MAX, scan_chunk
 
 CASE1 = (4, 1, 3, 2, 2, 1)
@@ -178,13 +178,14 @@ def exclude_case2() -> dict:
     alpha^3 * beta^2 | x and alpha^2 * beta | y. Both paths must agree.
 
     Both read x and y in integers: the solver refuses a solution that is
-    not integral, and that fails before either path.
+    not integral, and that fails before either path. Any failure, of the
+    solver or of a step, raises ExclusionFailure.
     """
     n, a, _, d, _, m2 = CASE2
     steps: list[tuple[str, str]] = []
     try:
         solution = solve_unknowns(_case2_system())
-    except NotIntegral as exc:
+    except ValueError as exc:  # not integral, rank-deficient or inconsistent
         raise ExclusionFailure(str(exc)) from exc
     x, y = solution["u6"], solution["u7"]
     steps.append(("solve-monomials", f"x = {format_poly(x)}; y = {format_poly(y)}"))
@@ -217,10 +218,9 @@ def exclude_case2() -> dict:
     primes = [p for p in betas if all(p % q for q in betas if q < p)]
     steps.append(("alpha-beta", f"alpha = 1, beta in {betas} (primes {primes})"))
 
-    # the least integer at or above (d/a)^(n-m2), so that an integral d2
-    # is below it exactly when it passes check_degree_bound
-    power = n - m2
-    bound = -(-(d**power) // a**power)
+    # the least degree check_degree_bound refuses; it passes every d2 below
+    bound = next(d2 for d2 in itertools.count(1)
+                 if not check_degree_bound(d2, d=d, a=a, n=n, m2=m2))
     violations = []
     for beta in betas:
         d2 = alpha**4 * beta**2
@@ -264,7 +264,8 @@ def _check_lattice_symbolics() -> dict:
 
     The round trip runs in integers on the probe 6 * (3/2, -7/3) =
     (9, -14): the basis change and its inverse are linear, so the probe
-    (3/2, -7/3) comes back unchanged if and only if six times it does."""
+    (3/2, -7/3) comes back unchanged if and only if six times it does.
+    Raises RuntimeError naming the first check that fails."""
     probe = (9, -14)
     checked = 0
     for a in range(1, 6):
@@ -274,14 +275,14 @@ def _check_lattice_symbolics() -> dict:
                     continue
                 m = solve_basis_change(a, c, d)
                 if m[0] * m[3] - m[1] * m[2] != -1:
-                    return {"checked": checked, "failure": f"det != -1 at {(a, c, d)}"}
+                    raise RuntimeError(f"det != -1 at {(a, c, d)}")
                 if apply(inverse(m), *apply(m, *probe)) != probe:
-                    return {"checked": checked, "failure": f"round trip at {(a, c, d)}"}
+                    raise RuntimeError(f"round trip at {(a, c, d)}")
                 checked += 1
     for n, a, c, d, m1, m2 in (CASE1, CASE2):
         m = solve_basis_change(a, c, d)
         if apply(m, *canonical_class(n, m1)) != canonical_class(n, m2):
-            return {"checked": checked, "failure": f"canonical class at n={n}"}
+            raise RuntimeError(f"canonical class at n={n}")
         checked += 1
     return {"checked": checked, "failure": None}
 
@@ -292,6 +293,12 @@ def verify_main_theorem(n_max: int = 200, ineq_max: int = 100000, workers: int =
     The report is the `verify --json` document without its "meta": the
     "steps", each a dict of "id", "status" and "witness", the
     "survivors" as lists, and the "conclusion".
+
+    Each step is a check that returns its witness, or raises ValueError
+    or RuntimeError naming what failed; it is recorded as "pass" with the
+    witness, or as "fail" with {"error": message}, and the later steps
+    still run. The first failed step refutes the verdict. This function
+    itself raises only the ValueError of its n_max check.
 
     The verdict rests on lemmas proved for every n: the a = 1 and
     a >= 2 branches of the scan (docstring of scan.visits) and the failure
@@ -304,82 +311,76 @@ def verify_main_theorem(n_max: int = 200, ineq_max: int = 100000, workers: int =
     if n_max < 9:
         raise ValueError(f"need n_max >= 9: n_max is the stated range, and it must "
                          f"reach the second case at n = 9; got {clip(n_max)}")
-    steps: list[dict] = []
-
-    def add(step_id: str, ok: bool, witness: dict):
-        steps.append({"id": step_id, "status": "pass" if ok else "fail", "witness": witness})
-        return ok
-
-    lattice_witness = _check_lattice_symbolics()
-    add("lattice-basis-change", lattice_witness["failure"] is None, lattice_witness)
-
     # by the lemma of a1_inequality_holds, the base 19..22 settles every
     # n >= 19, so the stated range costs nothing; the scan stops at 18 on it
     ineq_hi = max(ineq_max, 10**5, n_max)
     base = range(19, 23)
-    holdouts = [n for n in base if a1_inequality_holds(n)]
-    # The paper states the inequality on all of 4..18; exact evaluation
-    # fails at 15 and 16. Recorded, not gated: the scan covers 4..18
-    # directly, so no verdict step rests on the low range.
-    low_fails = [n for n in range(4, 19) if not a1_inequality_holds(n)]
-    add(
-        "a1-inequality-range",
-        not holdouts,
-        {"range": [19, ineq_hi], "holds_above_18": holdouts,
-         "low_range": [4, 18], "fails_in_low_range": low_fails,
-         "verdict_uses_low_range": False},
-    )
+    tuples: list[tuple[int, ...]] = []
 
-    # the stride lemma is proved for every n >= 9; spot-check it on the base
-    probe_violations = [n for n in base if not a1_ratio_stride_increases(n)]
-    add(
-        "a1-monotonicity-probe",
-        not probe_violations,
-        {"stride": 4, "range": [19, ineq_hi], "violations": probe_violations},
-    )
+    def inequality_range():
+        holdouts = [n for n in base if a1_inequality_holds(n)]
+        if holdouts:
+            raise RuntimeError(f"the inequality holds above 18 at n = {holdouts}")
+        # The paper states the inequality on all of 4..18; exact evaluation
+        # fails at 15 and 16. Recorded, not gated: the scan covers 4..18
+        # directly, so no verdict step rests on the low range.
+        low_fails = [n for n in range(4, 19) if not a1_inequality_holds(n)]
+        return {"range": [19, ineq_hi], "holds_above_18": [],
+                "low_range": [4, 18], "fails_in_low_range": low_fails,
+                "verdict_uses_low_range": False}
 
-    tuples = enumerate_candidates(BASE_N_MAX, workers=workers)
-    extras = [t for t in tuples if t not in (CASE1, CASE2)]
-    add(
-        "theorem-2case",
-        CASE1 in tuples and CASE2 in tuples and not extras,
-        {"n_max": n_max, "survivors": tuples, "extras": extras,
-         # the one imported fact the constraint chain rests on
-         "imported_facts": ["cohomology-gate"],
-         "coverage": {"a1": "all n, by the closed-form lemma",
-                      "a_ge_2": "all n, by the gate lemma and the inequality above n = 18",
-                      "a_ge_2_base": [4, BASE_N_MAX]}},
-    )
+    def monotonicity_probe():
+        # the stride lemma is proved for every n >= 9; spot-check it on the base
+        violations = [n for n in base if not a1_ratio_stride_increases(n)]
+        if violations:
+            raise RuntimeError(f"the ratio does not grow along the stride at n = {violations}")
+        return {"stride": 4, "range": [19, ineq_hi], "violations": []}
 
-    closed_ok = True
-    details = {}
-    for n, a, c, d, m1, m2 in (CASE1, CASE2):
-        cd = katz_cd(n, a, m1, m2)
-        dims = closed_form_dims(n)
-        details[str(n)] = {"katz_cd": [str(v) for v in cd], "dims": [str(v) for v in dims]}
-        closed_ok &= cd == (c, d) and dims == (m1, m2)
-    # the next n with integral closed-form dimensions is rejected by the
-    # strict gate m1 < (3n-2)/4
-    n_next = next(n for n in itertools.count(CASE2[0] + 1) if closed_form_dims(n))
-    m1_next = closed_form_dims(n_next)[0]
-    closed_ok &= check_betti_gate(n_next, m1_next)
-    details[str(n_next)] = {"m1": str(m1_next), "rejected": "4*m1 >= 3n-2"}
-    add("closed-form-crosscheck", closed_ok, details)
+    def two_cases():
+        tuples.extend(enumerate_candidates(BASE_N_MAX, workers=workers))
+        if set(tuples) != {CASE1, CASE2}:
+            raise RuntimeError(f"survivors {tuples}, expected {[CASE1, CASE2]}")
+        return {"n_max": n_max, "survivors": tuples, "extras": [],
+                # the one imported fact the constraint chain rests on
+                "imported_facts": ["cohomology-gate"],
+                "coverage": {"a1": "all n, by the closed-form lemma",
+                             "a_ge_2": "all n, by the gate lemma and the inequality above n = 18",
+                             "a_ge_2_base": [4, BASE_N_MAX]}}
 
-    try:  # the (n, m1, m2) of CASE2
-        add("case2-betti", True, derive_case2_betti(CASE2[0], *CASE2[4:]))
-    except ValueError as exc:  # no candidate pair, or more than one
-        add("case2-betti", False, {"error": str(exc)})
+    def closed_form():
+        details = {}
+        for n, a, c, d, m1, m2 in (CASE1, CASE2):
+            cd, dims = katz_cd(n, a, m1, m2), closed_form_dims(n)
+            if cd != (c, d) or dims != (m1, m2):
+                raise RuntimeError(f"closed form at n={n}: katz_cd {cd}, dims {dims}")
+            details[str(n)] = {"katz_cd": list(cd), "dims": list(dims)}
+        # the next n with integral closed-form dimensions is rejected by the
+        # strict gate m1 < (3n-2)/4
+        n_next = next(n for n in itertools.count(CASE2[0] + 1) if closed_form_dims(n))
+        m1_next = closed_form_dims(n_next)[0]
+        if not check_betti_gate(n_next, m1_next):
+            raise RuntimeError(f"the gate admits m1 = {m1_next} at n = {n_next}")
+        details[str(n_next)] = {"m1": m1_next, "rejected": "4*m1 >= 3n-2"}
+        return details
 
-    try:
-        add("case2-exclusion", True, exclude_case2())
-        excluded = [CASE2]
-    except ExclusionFailure as exc:
-        add("case2-exclusion", False, {"error": str(exc)})
-        excluded = []
+    steps: list[dict] = []
+    for step_id, check in (
+        ("lattice-basis-change", _check_lattice_symbolics),
+        ("a1-inequality-range", inequality_range),
+        ("a1-monotonicity-probe", monotonicity_probe),
+        ("theorem-2case", two_cases),
+        ("closed-form-crosscheck", closed_form),
+        ("case2-betti", lambda: derive_case2_betti(CASE2[0], *CASE2[4:])),  # its n, m1, m2
+        ("case2-exclusion", exclude_case2),
+    ):
+        try:
+            steps.append({"id": step_id, "status": "pass", "witness": check()})
+        except (ValueError, RuntimeError) as exc:
+            steps.append({"id": step_id, "status": "fail", "witness": {"error": str(exc)}})
 
-    final = [list(t) for t in tuples if t not in excluded]
     failed = [s["id"] for s in steps if s["status"] != "pass"]
+    excluded = [] if "case2-exclusion" in failed else [CASE2]
+    final = [list(t) for t in tuples if t not in excluded]
     if failed:
         conclusion = f"refuted at step {failed[0]}"
     elif final == [list(CASE1)]:

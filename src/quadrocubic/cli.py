@@ -7,7 +7,7 @@ Commands:
     exclude-case2 replay the nine-dimensional exclusion chain
 
 Exit codes: 0 on success / positive verdict, 1 on a negative or refuted
-verdict, 2 on usage or parse errors.
+verdict or a failed check, 2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -38,15 +38,17 @@ def render_text(document: dict) -> str:
     lines = [f"quadrocubic {document['meta']['version']}"]
     for step in document["steps"]:
         lines.append(f"[{step['status']}] {step['id']}")
-        if step["id"] == "a1-inequality-range":
-            w = step["witness"]
+        w = step["witness"]
+        if step["status"] == "fail":
+            lines.append(f"    {w['error']}")
+        elif step["id"] == "a1-inequality-range":
             (lo, hi), (low_lo, low_hi) = w["range"], w["low_range"]
             lines.append(f"    range {lo}..{hi}, holds at: {_listed(w['holds_above_18'])}; "
                          f"low range {low_lo}..{low_hi}, fails at: "
                          f"{_listed(w['fails_in_low_range'])} "
                          f"(the paper states it holds on all of {low_lo}..{low_hi})")
-        if step["id"] == "theorem-2case":
-            cover = step["witness"]["coverage"]
+        elif step["id"] == "theorem-2case":
+            cover = w["coverage"]
             lo, hi = cover["a_ge_2_base"]
             lines.append(f"    a = 1: {cover['a1']}; a >= 2: {cover['a_ge_2']}, "
                          f"base n = {lo}..{hi} scanned")
@@ -109,9 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage_error(message: object) -> int:
+def _error(message: object, code: int = 2) -> int:
+    """Print one error line; return the exit code, 2 (usage) or 1 (failed check)."""
     print(f"error: {message}", file=sys.stderr)
-    return 2
+    return code
 
 
 def run_cli(argv: list[str] | None = None) -> int:
@@ -133,7 +136,7 @@ def run_cli(argv: list[str] | None = None) -> int:
                 n_max=args.n_max, ineq_max=args.ineq_max, workers=args.threads
             )
         except ValueError as exc:
-            return _usage_error(exc)
+            return _error(exc)
         config = {"n_max": args.n_max, "ineq_max": args.ineq_max, "threads": args.threads}
         _emit(report_document(report, config), args.json)
         return 0 if report["conclusion"] == "quadro-cubic unique" else 1
@@ -142,7 +145,9 @@ def run_cli(argv: list[str] | None = None) -> int:
         try:
             survivors = enumerate_candidates(args.n_max)
         except ValueError as exc:
-            return _usage_error(exc)
+            return _error(exc)
+        except RuntimeError as exc:  # a kernel survivor the predicates refuse
+            return _error(exc, 1)
         if args.json:
             doc = {"n_max": args.n_max, "survivors": [list(s) for s in survivors]}
             sys.stdout.write(json.dumps(doc, indent=2) + "\n")
@@ -160,34 +165,34 @@ def run_cli(argv: list[str] | None = None) -> int:
             except ValueError:  # not an integer, or one longer than the int-string limit
                 digits = args.deg.strip().lstrip("+-")
                 if digits.isdecimal() and 0 < sys.get_int_max_str_digits() < len(digits):
-                    return _usage_error(f"--deg is too long: a {len(digits)}-digit integer")
+                    return _error(f"--deg is too long: a {len(digits)}-digit integer")
                 deg = 0
             if deg <= 0:
-                return _usage_error(
+                return _error(
                     f"--deg must be a positive integer, d1, or d2, got {quote(args.deg)}")
         if not 1 <= args.m <= args.n - 2:
-            return _usage_error(f"need 1 <= m <= n-2, got n={clip(args.n)}, m={clip(args.m)}")
+            return _error(f"need 1 <= m <= n-2, got n={clip(args.n)}, m={clip(args.m)}")
         try:
             ast = parse_expr(args.expr)
         except ParseError as exc:
-            return _usage_error(exc)
+            return _error(exc)
         try:
             # a DegreeMismatch and the expander's budgets are ValueErrors
             form = eval_expr(ast, args.n, args.m, deg)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+            return _error(exc, 1)
         try:
             text = str(form)
         except ValueError:  # a coefficient past the interpreter's int-string limit
-            print(f"error: the value has more than {sys.get_int_max_str_digits()} digits",
-                  file=sys.stderr)
-            return 1
+            return _error(f"the value has more than {sys.get_int_max_str_digits()} digits", 1)
         print(text)
         return 0
 
     if args.command == "exclude-case2":
-        witness = exclude_case2()
+        try:
+            witness = exclude_case2()
+        except RuntimeError as exc:  # an ExclusionFailure
+            return _error(exc, 1)
         if args.json:
             sys.stdout.write(json.dumps(witness, indent=2) + "\n")
         else:

@@ -103,13 +103,8 @@ def _expand(node: Node, n: int) -> Expansion:
             result = _mul(result, _expand(factor, n), n)
         return result
     if kind == "sum":
-        # When several terms are at fault, the order the terms expand in
-        # decides which one the error names: the subtracted terms expand
-        # first, the last of them first, then the first term and the added
-        # terms as written.
-        terms = node[1:]
         total: Expansion = {}
-        for sign, term in [t for t in terms[::-1] if t[0] < 0] + [t for t in terms if t[0] > 0]:
+        for sign, term in node[1:]:
             for key, coeff in _expand(term, n).items():
                 total[key] = total.get(key, 0) + sign * coeff
         return {key: coeff for key, coeff in total.items() if coeff}

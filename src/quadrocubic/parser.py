@@ -105,11 +105,9 @@ def _tokenize(text: str):
     yield ("end", "", len(text) + 1)
 
 
-def _uint(digits: str, column: int) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # longer than the interpreter's int-string limit
-        raise ParseError(column, ("shorter integer",), f"{len(digits)}-digit integer") from None
+def _found(value: str) -> str:
+    """How an error names the token it found."""
+    return quote(value) if value else "end of input"
 
 
 class _Parser:
@@ -131,8 +129,18 @@ class _Parser:
     def expect_op(self, op: str):
         kind, value, col = self.peek()
         if kind != "op" or value != op:
-            raise ParseError(col, (repr(op),), quote(value) if value else "end of input")
+            raise ParseError(col, (repr(op),), _found(value))
         return self.advance()
+
+    def unsigned(self) -> int:
+        kind, value, col = self.peek()
+        if kind != "uint":
+            raise ParseError(col, ("unsigned integer",), _found(value))
+        self.advance()
+        try:
+            return int(value)
+        except ValueError:  # longer than the interpreter's int-string limit
+            raise ParseError(col, ("shorter integer",), f"{len(value)}-digit integer") from None
 
     def parse(self) -> Node:
         node = self.expr()
@@ -165,25 +173,16 @@ class _Parser:
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            kind, value, col = self.peek()
-            if kind != "uint":
-                raise ParseError(col, ("unsigned integer",), quote(value) if value else "end of input")
-            self.advance()
-            return ("pow", node, _uint(value, col))
+            return ("pow", node, self.unsigned())
         return node
 
     def base(self) -> Node:
         kind, value, col = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            kind, value, col = self.peek()
-            if kind != "uint":
-                raise ParseError(col, ("unsigned integer",), quote(value) if value else "end of input")
-            self.advance()
-            return -_uint(value, col)
+            return -self.unsigned()
         if kind == "uint":
-            self.advance()
-            return _uint(value, col)
+            return self.unsigned()
         if kind == "name":
             if value in ("H", "E", "d1", "d2"):
                 self.advance()
@@ -202,7 +201,7 @@ class _Parser:
         raise ParseError(
             col,
             ("integer", "'H'", "'E'", "'d1'", "'d2'", "'('"),
-            quote(value) if value else "end of input",
+            _found(value),
         )
 
 

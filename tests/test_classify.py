@@ -1,6 +1,7 @@
 """Tests for the classification pipeline and the case-2 exclusion."""
 
 import functools
+import json
 import math
 import re
 from collections import Counter
@@ -21,7 +22,8 @@ from quadrocubic.classify import (
     scan_backend,
     verify_main_theorem,
 )
-from quadrocubic import classify, constraints, scan
+from quadrocubic import betti, classify, constraints, scan
+from quadrocubic.cli import run_cli
 from quadrocubic.constraints import check_degree_bound
 from quadrocubic.scan import BASE_N_MAX, scan_chunk, visits
 
@@ -419,7 +421,7 @@ def test_exclude_case2_primes_come_from_the_divisors():
     assert detail == "alpha = 1, beta in [7, 17, 119] (primes [7, 17])"
 
 
-def test_exclude_case2_refuses_a_square_divisor(monkeypatch):
+def _square_divisor(monkeypatch):
     # y's constant -399 + 56 gives k | 14*37 - 343 = 175 = 5^2 * 7, which
     # leaves room for alpha = 5
     solve = classify.solve_unknowns
@@ -430,9 +432,23 @@ def test_exclude_case2_refuses_a_square_divisor(monkeypatch):
         return solution
 
     monkeypatch.setattr(classify, "solve_unknowns", shifted)
+
+
+def test_exclude_case2_refuses_a_square_divisor(monkeypatch):
+    _square_divisor(monkeypatch)
     with pytest.raises(classify.ExclusionFailure,
                        match=r"^175 is not squarefree; alpha not forced to 1$"):
         exclude_case2()
+
+
+def test_exclude_case2_takes_its_bound_from_check_degree_bound(monkeypatch):
+    # the bound is the least d2 that check_degree_bound refuses, so a
+    # tighter predicate moves the contradiction and the brute range with it
+    monkeypatch.setattr(classify, "check_degree_bound", lambda d2, d, a, n, m2: d2 < 20)
+    witness = exclude_case2()
+    assert witness["d2_bound"] == "20"
+    assert witness["contradiction"] == "49 > 19"
+    assert dict(witness["chain"])["brute-scan"] == "no feasible (alpha, beta) for any d2 in 2..19"
 
 
 def test_exclude_case2_solved_values():
@@ -507,7 +523,7 @@ def test_lattice_symbolics_witness():
     assert classify._check_lattice_symbolics() == {"checked": 97, "failure": None}
 
 
-def test_lattice_symbolics_catches_a_wrong_inverse(monkeypatch):
+def _wrong_inverse(monkeypatch):
     inverse = classify.inverse
 
     def off_by_one(m):
@@ -515,8 +531,15 @@ def test_lattice_symbolics_catches_a_wrong_inverse(monkeypatch):
         return m11 + 1, m12, m21, m22
 
     monkeypatch.setattr(classify, "inverse", off_by_one)
-    assert classify._check_lattice_symbolics() == {
-        "checked": 0, "failure": "round trip at (1, 1, 1)"}
+
+
+def test_lattice_symbolics_catches_a_wrong_inverse(monkeypatch):
+    _wrong_inverse(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"^round trip at \(1, 1, 1\)$"):
+        classify._check_lattice_symbolics()
+    assert verify_main_theorem(9)["steps"][0] == {
+        "id": "lattice-basis-change", "status": "fail",
+        "witness": {"error": "round trip at (1, 1, 1)"}}
 
 
 def _fraction_value(p, d1, d2):
@@ -563,6 +586,15 @@ def test_verify_main_theorem_default():
         "case2-betti",
         "case2-exclusion",
     ]
+
+
+def test_closed_form_witness():
+    steps = {s["id"]: s for s in verify_main_theorem(9)["steps"]}
+    assert steps["closed-form-crosscheck"] == {
+        "id": "closed-form-crosscheck", "status": "pass",
+        "witness": {"4": {"katz_cd": [3, 2], "dims": [2, 1]},
+                    "9": {"katz_cd": [3, 2], "dims": [6, 4]},
+                    "14": {"m1": 10, "rejected": "4*m1 >= 3n-2"}}}
 
 
 def test_verify_records_two_pre_exclusion_tuples():
@@ -648,3 +680,85 @@ def test_scan_never_evaluates_the_inequality(monkeypatch):
     monkeypatch.setattr("quadrocubic.classify.a1_inequality_holds", refuse)
     survivors = enumerate_candidates(30)
     assert survivors == [CASE1, CASE2]
+
+
+# One failure path: a failed check is a failed `verify` step, or one
+# `error:` line with exit 1 from `enumerate` and `exclude-case2`.
+
+def _refused_survivor(monkeypatch):
+    """The scan also yields a tuple that _attribute refuses."""
+    monkeypatch.setattr(classify, "_scan_range",
+                        lambda lo, hi: scan_chunk(lo, hi) + [(5, 1, 3, 2, 2, 1)])
+
+
+def _case2_rows(monkeypatch, rows):
+    """The case-2 system becomes rows(original rows)."""
+    system = classify._case2_system
+    monkeypatch.setattr(classify, "_case2_system", lambda: rows(system()))
+
+
+def _rank_deficient(monkeypatch):
+    _case2_rows(monkeypatch, lambda rows: rows[:3])
+
+
+def _inconsistent(monkeypatch):
+    # row 0 again, with its required value moved by one
+    _case2_rows(monkeypatch, lambda rows: rows + [
+        (rows[0][0], {**rows[0][1], (0, 0): rows[0][1].get((0, 0), 0) + 1})])
+
+
+# each step's id: how to break its check, and the start of its error
+_BROKEN_STEPS = {
+    "lattice-basis-change": (_wrong_inverse, "round trip at (1, 1, 1)"),
+    "a1-inequality-range": (
+        lambda mp: mp.setattr(classify, "a1_inequality_holds", lambda n: True),
+        "the inequality holds above 18 at n = [19, 20, 21, 22]"),
+    "a1-monotonicity-probe": (
+        lambda mp: mp.setattr(classify, "a1_ratio_stride_increases", lambda n: False),
+        "the ratio does not grow along the stride at n = [19, 20, 21, 22]"),
+    "theorem-2case": (
+        _refused_survivor, "kernel survivor (5, 1, 3, 2, 2, 1) does not reproduce under katz_cd"),
+    "closed-form-crosscheck": (
+        lambda mp: mp.setattr(classify, "check_betti_gate", lambda n, m1: False),
+        "the gate admits m1 = 10 at n = 14"),
+    "case2-betti": (
+        lambda mp: mp.setattr(betti, "barth_larsen_forced", lambda n, m, i: False),
+        "2 (a, b) pairs survive"),
+    "case2-exclusion": (_rank_deficient, "rank 3: free unknowns ['u9']"),
+}
+
+
+@pytest.mark.parametrize("step_id", list(_BROKEN_STEPS))
+def test_a_failed_check_fails_its_step_only(step_id, monkeypatch, capsys):
+    break_step, error = _BROKEN_STEPS[step_id]
+    break_step(monkeypatch)
+    report = verify_main_theorem(9)
+    failed = [s for s in report["steps"] if s["status"] == "fail"]
+    assert [s["id"] for s in failed] == [step_id]
+    assert list(failed[0]["witness"]) == ["error"]
+    assert failed[0]["witness"]["error"].startswith(error)
+    assert report["conclusion"] == f"refuted at step {step_id}"
+
+    assert run_cli(["verify", "--n-max", "9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f"[fail] {step_id}\n    {error}" in captured.out
+    assert captured.out.endswith(f"conclusion: refuted at step {step_id}\n")
+    assert run_cli(["verify", "--n-max", "9", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    steps = json.loads(captured.out)["steps"]
+    assert [s for s in steps if s["status"] == "fail"] == failed
+
+
+@pytest.mark.parametrize("argv, break_check, error", [
+    (["exclude-case2"], _rank_deficient, "rank 3: free unknowns ['u9']"),
+    (["exclude-case2", "--json"], _inconsistent, "inconsistent system: 0 = 1"),
+    (["exclude-case2"], _square_divisor, "175 is not squarefree; alpha not forced to 1"),
+    (["enumerate", "--json"], _refused_survivor,
+     "kernel survivor (5, 1, 3, 2, 2, 1) does not reproduce under katz_cd"),
+], ids=["rank-deficient", "inconsistent", "square-divisor", "refused-survivor"])
+def test_a_failed_check_is_one_error_line(argv, break_check, error, monkeypatch, capsys):
+    break_check(monkeypatch)
+    assert run_cli(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")

@@ -106,6 +106,13 @@ def test_eval_power_above_n_is_rejected_at_once(expr, message):
     assert message in proc.stderr
 
 
+def test_eval_names_the_first_faulty_term_as_written(capsys):
+    # a sum expands its terms in written order, subtracted ones too
+    assert run_cli(["eval", "--n", "9", "--m", "4", "--deg", "2", "H^9 - H^10 - H^11"]) == 1
+    assert capsys.readouterr().err == (
+        "error: exponent 10 exceeds n = 9 on a base of positive degree\n")
+
+
 def test_enumerate_huge_n_max_runs_in_bounded_time():
     # the lemmas of scan.visits leave only the base 4..18 to scan, so the
     # stated range costs nothing; a scan of every n would never end
@@ -561,3 +568,4 @@ def test_exclude_case2_document_is_the_verify_witness(capsys):
     steps = {s["id"]: s for s in json.loads(capsys.readouterr().out)["steps"]}
     assert steps["case2-exclusion"]["witness"] == excl
     assert list(excl) == ["alpha", "beta_candidates", "d2_bound", "contradiction", "chain"]
+
