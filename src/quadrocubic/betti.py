@@ -40,7 +40,19 @@ def barth_larsen_forced(n: int, m: int, i: int) -> bool:
 
 def check_betti_gate(n: int, m1: int) -> bool:
     """Whether the large-m1 gate fires (4*m1 >= 3n - 2), in which case the
-    second center must satisfy m2 <= n - m1 - 2."""
+    second center must satisfy m2 <= n - m1 - 2.
+
+    Lemma: this follows from the blow-up formula and Barth-Larsen. Proof:
+    let e1 = n-m1-1 < e2 = n-m2-1, and a, b the even Betti sequences of
+    the m1- and m2-dimensional centers. blowup_even_betti gives h^(2k) of
+    each chart, and the two agree at every k. At k = 1..e1 neither sum is
+    cut from below, so a_j = b_j for j < e1. At k = e1+1 the first sum
+    starts at a_1 and the second still at b_0, so a_(e1) - a_0 = b_(e1)
+    whenever e1 <= m2. The gate 4*m1 >= 3n-2 is 2*e1 <= 2*m1 - n, the
+    range of barth_larsen_forced, so a_0 = a_(e1) = 1 and b_(e1) = 0. If
+    m2 > n-m1-2, that is e1 <= m2, then b_(e1) >= 1, because a power of
+    the hyperplane class is nonzero: a contradiction. So m2 <= n-m1-2.
+    """
     return 4 * m1 >= 3 * n - 2
 
 

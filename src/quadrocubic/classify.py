@@ -1,10 +1,12 @@
 """The classification pipeline.
 
-Enumerates candidate parameter tuples under the full constraint chain,
-settles the multiplicity-one inequality above n = 18 by a proved lemma
-(base values 19..22 plus a stride-4 monotonicity lemma), reproduces
-the two-case outcome, excludes the nine-dimensional case twice (symbolic
-modular chain and brute degree scan), and assembles the final verdict.
+`verify_main_theorem` runs five steps: the lattice basis change; the
+failure of the multiplicity-one inequality above n = 18, by a proved
+lemma (base values 19..22 plus the stride-4 lemma it cites); the
+enumeration of candidate tuples under the full constraint chain, which
+must reproduce the two cases CASE1 and CASE2; the derived Betti numbers
+of the nine-dimensional case; and its exclusion, twice (symbolic modular
+chain and brute degree scan). It then assembles the final verdict.
 
 The tuple scan runs on the pure-Python kernel in scan.py, whose lemmas
 leave only the base n <= scan.BASE_N_MAX to scan; it runs in the calling
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .betti import check_betti_gate, derive_case2_betti
+from .betti import derive_case2_betti
 from .constraints import chain, check_degree_bound, katz_cd
 from .evaluate import eval_expr
 from .lattice import apply, canonical_class, inverse, solve_basis_change
@@ -87,14 +89,6 @@ def a1_ratio_stride_increases(n: int) -> bool:
     """
     e = (n + 1) // 4
     return 2 * (e + 2) * (n + 1) ** 2 > e * (n + 5) ** 2
-
-
-def closed_form_dims(n: int) -> tuple[int, int] | None:
-    """Center dimensions forced by c=3, d=2: ((4n-6)/5, (3n-7)/5), or None
-    when they are not integers."""
-    m1, m1_rest = divmod(4 * n - 6, 5)
-    m2, m2_rest = divmod(3 * n - 7, 5)
-    return None if m1_rest or m2_rest else (m1, m2)
 
 
 def _attribute(raw: tuple) -> tuple[int, int, int, int, int, int]:
@@ -325,51 +319,31 @@ def verify_main_theorem(n_max: int = 200, ineq_max: int = 100000, workers: int =
         # fails at 15 and 16. Recorded, not gated: the scan covers 4..18
         # directly, so no verdict step rests on the low range.
         low_fails = [n for n in range(4, 19) if not a1_inequality_holds(n)]
-        return {"range": [19, ineq_hi], "holds_above_18": [],
+        # the stride lemma the proof cites, proved for every n >= 9
+        flat = [n for n in base if not a1_ratio_stride_increases(n)]
+        if flat:
+            raise RuntimeError(f"the ratio does not grow along the stride at n = {flat}")
+        return {"range": [19, ineq_hi], "stride": 4,
                 "low_range": [4, 18], "fails_in_low_range": low_fails,
                 "verdict_uses_low_range": False}
-
-    def monotonicity_probe():
-        # the stride lemma is proved for every n >= 9; spot-check it on the base
-        violations = [n for n in base if not a1_ratio_stride_increases(n)]
-        if violations:
-            raise RuntimeError(f"the ratio does not grow along the stride at n = {violations}")
-        return {"stride": 4, "range": [19, ineq_hi], "violations": []}
 
     def two_cases():
         tuples.extend(enumerate_candidates(BASE_N_MAX, workers=workers))
         if set(tuples) != {CASE1, CASE2}:
             raise RuntimeError(f"survivors {tuples}, expected {[CASE1, CASE2]}")
-        return {"n_max": n_max, "survivors": tuples, "extras": [],
-                # the one imported fact the constraint chain rests on
-                "imported_facts": ["cohomology-gate"],
+        return {"n_max": n_max, "survivors": tuples,
+                # the case2-betti rows link 1's gate is derived from
+                # (betti.check_betti_gate)
+                "imported_facts": ["barth-larsen", "blowup-agreement"],
                 "coverage": {"a1": "all n, by the closed-form lemma",
                              "a_ge_2": "all n, by the gate lemma and the inequality above n = 18",
                              "a_ge_2_base": [4, BASE_N_MAX]}}
-
-    def closed_form():
-        details = {}
-        for n, a, c, d, m1, m2 in (CASE1, CASE2):
-            cd, dims = katz_cd(n, a, m1, m2), closed_form_dims(n)
-            if cd != (c, d) or dims != (m1, m2):
-                raise RuntimeError(f"closed form at n={n}: katz_cd {cd}, dims {dims}")
-            details[str(n)] = {"katz_cd": list(cd), "dims": list(dims)}
-        # the next n with integral closed-form dimensions is rejected by the
-        # strict gate m1 < (3n-2)/4
-        n_next = next(n for n in itertools.count(CASE2[0] + 1) if closed_form_dims(n))
-        m1_next = closed_form_dims(n_next)[0]
-        if not check_betti_gate(n_next, m1_next):
-            raise RuntimeError(f"the gate admits m1 = {m1_next} at n = {n_next}")
-        details[str(n_next)] = {"m1": m1_next, "rejected": "4*m1 >= 3n-2"}
-        return details
 
     steps: list[dict] = []
     for step_id, check in (
         ("lattice-basis-change", _check_lattice_symbolics),
         ("a1-inequality-range", inequality_range),
-        ("a1-monotonicity-probe", monotonicity_probe),
         ("theorem-2case", two_cases),
-        ("closed-form-crosscheck", closed_form),
         ("case2-betti", lambda: derive_case2_betti(CASE2[0], *CASE2[4:])),  # its n, m1, m2
         ("case2-exclusion", exclude_case2),
     ):

@@ -43,8 +43,8 @@ def render_text(document: dict) -> str:
             lines.append(f"    {w['error']}")
         elif step["id"] == "a1-inequality-range":
             (lo, hi), (low_lo, low_hi) = w["range"], w["low_range"]
-            lines.append(f"    range {lo}..{hi}, holds at: {_listed(w['holds_above_18'])}; "
-                         f"low range {low_lo}..{low_hi}, fails at: "
+            lines.append(f"    range {lo}..{hi}, fails throughout by the stride-{w['stride']} "
+                         f"lemma; low range {low_lo}..{low_hi}, fails at: "
                          f"{_listed(w['fails_in_low_range'])} "
                          f"(the paper states it holds on all of {low_lo}..{low_hi})")
         elif step["id"] == "theorem-2case":

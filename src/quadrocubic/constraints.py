@@ -9,9 +9,10 @@ identities, the congruences on the center dimensions, the size estimate
 with its positivity and divisibility, and the bound on a) follows from
 the links it keeps and its premise a >= 1, 1 <= m2 < m1 <= n-2.
 
-One link rests on an imported fact rather than a derivation: the
-cohomology gate, from the forced low-degree Betti numbers of the
-cohomology module.
+The cohomology gate of link 1 is not imported on its own: the docstring
+of `betti.check_betti_gate` derives it from the blow-up formula and
+Barth-Larsen, the facts of the "blowup-agreement" and "barth-larsen"
+rows of verify's case-2 Betti step.
 
 `chain` strings the predicates into the one constraint chain that both
 the scan and the re-check of its survivors run.

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 
+from .betti import check_betti_gate
 from .constraints import chain, katz_cd
 
 Survivor = tuple[int, int, int, int, int, int]
@@ -55,8 +56,9 @@ def visits(n_lo: int, n_hi: int) -> Iterator[tuple[int, int, int, range]]:
       a^(e2-1)*e2*e1 >= 2^(e2-1)*e2 >= ((4*e2+1)/3)^2 >= N^2: at e2 = 5
       it is 80 >= 49, and per step in e2 the middle term at least
       doubles while the right one grows by at most (25/21)^2 < 2. So the
-      e1-loop starts at the first e1 with the gate off, (n+2)//4, and
-      link 1 asks nothing more of m2.
+      e1-loop skips every e1 where `check_betti_gate` fires and loses
+      nothing, and link 1 asks nothing more of m2 on the rest. For the
+      real gate the first e1 visited is (n+2)//4.
     - Lemma: with a >= 2 and the gate off no tuple passes link 2 once
       n >= 19, so every loop stops at n = BASE_N_MAX. With the gate off,
       e1 >= e = ceil((n-2)/4), and link 2's left side
@@ -64,7 +66,7 @@ def visits(n_lo: int, n_hi: int) -> Iterator[tuple[int, int, int, range]]:
       2^e*(e+1)*e = classify._a1_rhs(n). By the lemma of
       classify.a1_inequality_holds, the multiplicity-one inequality of
       the paper, that exceeds N^2 for every n >= 19; `verify` checks its
-      base in the a1-inequality-range and a1-monotonicity-probe steps.
+      base and its stride lemma in the a1-inequality-range step.
       At n = 18 it is 320 < 361, so 18 is the last n the lemma leaves.
     - On the base the loops run over a >= 2 only. Link 2's left side
       a^e1*(e1+1)*e1 rises in a and in e1, and it is link 7's left side
@@ -81,10 +83,12 @@ def visits(n_lo: int, n_hi: int) -> Iterator[tuple[int, int, int, range]]:
             m1, m2 = _A1_LEMMA[n]
             yield n, m1, 1, range(m2, m2 + 1)
         n1sq = (n + 1) ** 2
-        for e1 in range((n + 2) // 4, n - 2):
+        for e1 in range(1, n - 2):
+            m1 = n - 1 - e1
+            if check_betti_gate(n, m1):
+                continue
             if ((e1 + 1) * e1) << e1 >= n1sq:
                 break
-            m1 = n - 1 - e1
             for a in itertools.count(2):
                 if a**e1 * (e1 + 1) * e1 >= n1sq:
                     break

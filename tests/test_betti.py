@@ -151,6 +151,44 @@ def test_check_betti_gate():
     assert not check_betti_gate(4, 2)  # 8 < 10
 
 
+def _agreeing_prefixes(n: int, m1: int, m2: int) -> bool:
+    """Whether some even Betti sequences of the m1- and m2-dimensional
+    centers, entries in 1..3 and 1 where Barth-Larsen forces it
+    (2i <= 2m - n), give blow-ups with equal h^(2k) at every k <= e1 + 1.
+    Those degrees read entries 0..e1 only, so only those are searched.
+    The sums are written out here, apart from blowup_even_betti; the
+    ambient class adds the same 1 to both sides and is left out."""
+    e1, e2 = n - m1 - 1, n - m2 - 1
+
+    def prefixes(m):
+        for seq in itertools.product(range(1, 4), repeat=min(e1, m) + 1):
+            if all(seq[i] == 1 for i in range(len(seq)) if 2 * i <= 2 * m - n):
+                yield seq
+
+    def h(seq, e, k):  # entries k-e..k-1: the center's shifted copies in degree 2k
+        return sum(seq[max(k - e, 0):k])
+
+    bs = list(prefixes(m2))
+    return any(all(h(a, e1, k) == h(b, e2, k) for k in range(e1 + 2))
+               for a in prefixes(m1) for b in bs)
+
+
+def test_gate_follows_from_blowup_agreement_and_barth_larsen():
+    # the lemma of check_betti_gate, by brute force over n <= 12 and
+    # e1 <= 2, which holds every triple the gate fires on (it needs
+    # 4*e1 <= n-2): no sequences agree for a triple link 1 rejects, and
+    # some do for each triple it accepts, so the search is not vacuous
+    rejected, accepted = [], []
+    for n in range(4, 13):
+        for m1 in (n - 2, n - 3):
+            for m2 in range(1, m1):
+                link1 = not (check_betti_gate(n, m1) and m2 > n - m1 - 2)
+                (accepted if link1 else rejected).append((n, m1, m2))
+    assert (len(rejected), len(accepted)) == (60, 21)
+    assert not any(_agreeing_prefixes(*t) for t in rejected)
+    assert all(_agreeing_prefixes(*t) for t in accepted)
+
+
 def test_derive_case2_betti_values():
     result = derive_case2_betti(*CASE2_DIMS)
     assert result["a"] == [1, 1, 2, 2, 2, 1, 1]

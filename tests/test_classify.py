@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from quadrocubic.classify import (
     _attribute,
     a1_inequality_holds,
     a1_ratio_stride_increases,
-    closed_form_dims,
     enumerate_candidates,
     exclude_case2,
     scan_backend,
@@ -124,20 +124,6 @@ def test_a1_stride_closed_form_matches_cross_multiplication():
     for n in range(4, 2001):
         bigint = _a1_rhs(n + 4) * (n + 1) ** 2 > _a1_rhs(n) * (n + 5) ** 2
         assert a1_ratio_stride_increases(n) == bigint, n
-
-
-def test_closed_form_dims():
-    assert closed_form_dims(4) == (2, 1)
-    assert closed_form_dims(9) == (6, 4)
-    m1, m2 = closed_form_dims(14)
-    assert (m1, m2) == (10, 7)
-    # n=14 integral but rejected by the strict gate m1 < (3n-2)/4
-    assert 4 * m1 >= 3 * 14 - 2
-    for n in range(4, 60):
-        dims = closed_form_dims(n)
-        assert (dims is not None) == (n % 5 == 4)
-        if dims is not None:
-            assert (5 * dims[0], 5 * dims[1]) == (4 * n - 6, 3 * n - 7)
 
 
 def test_enumerate_floor():
@@ -307,6 +293,14 @@ def test_visits_work_is_pinned():
                  if a >= 2 for m2 in m2s]
     assert len(above_one) == 46
     assert max(n for n, *_ in above_one) == 17
+
+
+def test_visits_first_e1_is_where_the_gate_turns_off():
+    # the docstring of scan.visits: the e1-loop skips the e1 where the gate
+    # fires, so for the real gate the first e1 it visits is (n+2)//4
+    for n in range(4, 1000):
+        first = next(e1 for e1 in range(1, n - 2) if not betti.check_betti_gate(n, n - 1 - e1))
+        assert first == (n + 2) // 4, n
 
 
 def test_scan_funnel_is_pinned():
@@ -580,30 +574,22 @@ def test_verify_main_theorem_default():
     assert [s["id"] for s in report["steps"]] == [
         "lattice-basis-change",
         "a1-inequality-range",
-        "a1-monotonicity-probe",
         "theorem-2case",
-        "closed-form-crosscheck",
         "case2-betti",
         "case2-exclusion",
     ]
 
 
-def test_closed_form_witness():
-    steps = {s["id"]: s for s in verify_main_theorem(9)["steps"]}
-    assert steps["closed-form-crosscheck"] == {
-        "id": "closed-form-crosscheck", "status": "pass",
-        "witness": {"4": {"katz_cd": [3, 2], "dims": [2, 1]},
-                    "9": {"katz_cd": [3, 2], "dims": [6, 4]},
-                    "14": {"m1": 10, "rejected": "4*m1 >= 3n-2"}}}
-
-
 def test_verify_records_two_pre_exclusion_tuples():
     report = verify_main_theorem(200)
-    witness = next(s["witness"] for s in report["steps"] if s["id"] == "theorem-2case")
+    steps = {s["id"]: s["witness"] for s in report["steps"]}
+    witness = steps["theorem-2case"]
     assert witness["survivors"] == [CASE1, CASE2]
-    assert witness["extras"] == []
-    # the chain rests on no imported fact but link 1's gate
-    assert witness["imported_facts"] == ["cohomology-gate"]
+    # the chain rests on no imported fact but those link 1's gate is
+    # derived from, each a row of the case-2 Betti derivation
+    assert witness["imported_facts"] == ["barth-larsen", "blowup-agreement"]
+    rows = [row_id for row_id, _ in steps["case2-betti"]["derivation"]]
+    assert set(witness["imported_facts"]) <= set(rows)
 
 
 def test_verify_minimal_range():
@@ -624,17 +610,13 @@ def test_verify_scope_stated_in_report():
     ineq_step = steps["a1-inequality-range"]
     assert ineq_step["witness"]["range"] == [19, 100000]
     assert ineq_step["status"] == "pass"
-    assert ineq_step["witness"]["holds_above_18"] == []
+    assert ineq_step["witness"]["stride"] == 4
     # the paper's 4..18 claim fails at 15 and 16; the report records it
     assert ineq_step["witness"]["low_range"] == [4, 18]
     assert ineq_step["witness"]["fails_in_low_range"] == [15, 16]
     assert ineq_step["witness"]["verdict_uses_low_range"] is False
-    probe_step = steps["a1-monotonicity-probe"]
-    assert probe_step["status"] == "pass"
-    assert probe_step["witness"] == {"stride": 4, "range": [19, 100000], "violations": []}
     wide = {s["id"]: s["witness"] for s in verify_main_theorem(9, ineq_max=200000)["steps"]}
     assert wide["a1-inequality-range"]["range"] == [19, 200000]
-    assert wide["a1-monotonicity-probe"]["range"] == [19, 200000]
     scan_witness = steps["theorem-2case"]["witness"]
     assert scan_witness["n_max"] == 30
     assert scan_witness["coverage"] == {
@@ -707,30 +689,51 @@ def _inconsistent(monkeypatch):
         (rows[0][0], {**rows[0][1], (0, 0): rows[0][1].get((0, 0), 0) + 1})])
 
 
-# each step's id: how to break its check, and the start of its error
-_BROKEN_STEPS = {
-    "lattice-basis-change": (_wrong_inverse, "round trip at (1, 1, 1)"),
-    "a1-inequality-range": (
-        lambda mp: mp.setattr(classify, "a1_inequality_holds", lambda n: True),
-        "the inequality holds above 18 at n = [19, 20, 21, 22]"),
-    "a1-monotonicity-probe": (
-        lambda mp: mp.setattr(classify, "a1_ratio_stride_increases", lambda n: False),
-        "the ratio does not grow along the stride at n = [19, 20, 21, 22]"),
-    "theorem-2case": (
-        _refused_survivor, "kernel survivor (5, 1, 3, 2, 2, 1) does not reproduce under katz_cd"),
-    "closed-form-crosscheck": (
-        lambda mp: mp.setattr(classify, "check_betti_gate", lambda n, m1: False),
-        "the gate admits m1 = 10 at n = 14"),
-    "case2-betti": (
-        lambda mp: mp.setattr(betti, "barth_larsen_forced", lambda n, m, i: False),
-        "2 (a, b) pairs survive"),
-    "case2-exclusion": (_rank_deficient, "rank 3: free unknowns ['u9']"),
-}
+def _wrong_gate(gate):
+    """Patch every quadrocubic module's binding of check_betti_gate, as a
+    wrong definition in betti.py would."""
+    def patch(monkeypatch):
+        real = betti.check_betti_gate
+        for name, module in list(sys.modules.items()):
+            if name.startswith("quadrocubic") and vars(module).get("check_betti_gate") is real:
+                monkeypatch.setattr(module, "check_betti_gate", gate)
+    return patch
 
 
-@pytest.mark.parametrize("step_id", list(_BROKEN_STEPS))
-def test_a_failed_check_fails_its_step_only(step_id, monkeypatch, capsys):
-    break_step, error = _BROKEN_STEPS[step_id]
+def _case(step_id, break_step, error, suffix=""):
+    """A way to break one step's check: the test id is the step id, with a
+    suffix for a step's second way to fail."""
+    return pytest.param(step_id, break_step, error, id=step_id + suffix)
+
+
+# each step's id, how to break its check, and the start of its error
+_BROKEN_STEPS = [
+    _case("lattice-basis-change", _wrong_inverse, "round trip at (1, 1, 1)"),
+    _case("a1-inequality-range",
+          lambda mp: mp.setattr(classify, "a1_inequality_holds", lambda n: True),
+          "the inequality holds above 18 at n = [19, 20, 21, 22]"),
+    _case("a1-inequality-range",
+          lambda mp: mp.setattr(classify, "a1_ratio_stride_increases", lambda n: False),
+          "the ratio does not grow along the stride at n = [19, 20, 21, 22]", "-stride"),
+    _case("theorem-2case", _refused_survivor,
+          "kernel survivor (5, 1, 3, 2, 2, 1) does not reproduce under katz_cd"),
+    # the scan reads the gate, so a wrong one lets it into the region the
+    # gate-on lemma skips, where tuples pass the chain
+    _case("theorem-2case", _wrong_gate(lambda n, m1: False),
+          "survivors [(4, 1, 3, 2, 2, 1), (6, 3, 19, 10, 4, 3), (7, 2, 13, 5, 5, 3), ",
+          "-gate-never-fires"),
+    _case("theorem-2case", _wrong_gate(lambda n, m1: 4 * m1 >= 3 * n + 2),
+          "survivors [(4, 1, 3, 2, 2, 1), (6, 3, 19, 10, 4, 3), (7, 2, 13, 5, 5, 3), "
+          "(8, 3, 25, 13, 6, 5), (9, 1, 3, 2, 6, 4)], expected ", "-gate-shifted"),
+    _case("case2-betti",
+          lambda mp: mp.setattr(betti, "barth_larsen_forced", lambda n, m, i: False),
+          "2 (a, b) pairs survive"),
+    _case("case2-exclusion", _rank_deficient, "rank 3: free unknowns ['u9']"),
+]
+
+
+@pytest.mark.parametrize("step_id, break_step, error", _BROKEN_STEPS)
+def test_a_failed_check_fails_its_step_only(step_id, break_step, error, monkeypatch, capsys):
     break_step(monkeypatch)
     report = verify_main_theorem(9)
     failed = [s for s in report["steps"] if s["status"] == "fail"]

@@ -259,9 +259,9 @@ def test_verify_large_ineq_max_runs_in_bounded_time():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["conclusion"] == "quadro-cubic unique"
-    witness = next(s["witness"] for s in doc["steps"] if s["id"] == "a1-inequality-range")
-    assert witness["range"] == [19, 10**12]
-    assert witness["holds_above_18"] == []
+    step = next(s for s in doc["steps"] if s["id"] == "a1-inequality-range")
+    assert step["status"] == "pass"
+    assert step["witness"]["range"] == [19, 10**12]
 
 
 @pytest.mark.parametrize("expr, degree", [
@@ -532,7 +532,8 @@ def test_verify_text_output(capsys):
             "    a = 1: all n, by the closed-form lemma; a >= 2: all n, by the gate lemma "
             "and the inequality above n = 18, base n = 4..18 scanned\n") in out
     assert ("[pass] a1-inequality-range\n"
-            "    range 19..100000, holds at: none; low range 4..18, fails at: 15, 16 "
+            "    range 19..100000, fails throughout by the stride-4 lemma; low range 4..18, "
+            "fails at: 15, 16 "
             "(the paper states it holds on all of 4..18)\n") in out
 
 
