@@ -166,6 +166,8 @@ def exclude_case2() -> dict:
     Symbolic path: k = alpha^2 * beta divides x and y. Reduced modulo k
     with d2 == 0 (mod k), eliminating d1 pins k | 119, hence alpha = 1 and
     beta in {7, 17, 119}; every d2 = beta^2 violates the bound d2 < 32.
+    Had it pinned k | 1, only alpha = beta = 1 would be left, and d2 = 1
+    meets the bound: no contradiction, so that is a failure too.
 
     Brute path: for every d2 in 2..31 and every factorization
     d2 = alpha^4 * beta^2, no residue of d1 satisfies both
@@ -202,6 +204,9 @@ def exclude_case2() -> dict:
     )
     if resultant == 0:
         raise ExclusionFailure("modular elimination is vacuous")
+    if resultant == 1:
+        raise ExclusionFailure("k | 1 leaves only alpha = beta = 1, and d2 = 1 is below "
+                               "the bound: no contradiction")
 
     # the divisors above 1, in order: the primes are those with no smaller
     # divisor among them, and a square divisor would leave room for alpha

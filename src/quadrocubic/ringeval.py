@@ -17,7 +17,6 @@ two polynomials are equal exactly when their dicts are.
 
 from __future__ import annotations
 
-import re
 from operator import index
 from typing import Mapping, Sequence
 
@@ -53,41 +52,10 @@ class DegreeMismatch(ValueError):
     """Total degree of an expression does not match the chart dimension."""
 
 
-class InconsistentSystem(ValueError):
-    """Linear system has no solution; carries the violated combination."""
-
-    def __init__(self, witness: dict):
-        self.witness = witness
-        super().__init__(f"inconsistent system: 0 = {format_poly(witness)}")
-
-
-class NotIntegral(ValueError):
-    """Linear system has a unique solution that is not integral; carries
-    the positive common denominator and each unknown's numerator, so the
-    solution is still exact: numerators[name] / denominator."""
-
-    def __init__(self, denominator: int, numerators: dict[str, dict]):
-        self.denominator = denominator
-        self.numerators = numerators
-        name = next(name for name, num in numerators.items()
-                    if any(c % denominator for c in num.values()))
-        super().__init__(f"solution is not integral: "
-                         f"{name} = ({format_poly(numerators[name])})/{denominator}")
-
-
-class RankDeficient(ValueError):
-    """Linear system does not pin every unknown; carries a rank report."""
-
-    def __init__(self, rank: int, pinned: list[str], free: list[str]):
-        self.rank = rank
-        self.pinned = pinned
-        self.free = free
-        super().__init__(f"rank {rank}: free unknowns {free}")
-
-
-def _unknown_key(name: str):
-    m = re.fullmatch(r"([a-zA-Z]+)(\d+)", name)
-    return (m.group(1), int(m.group(2))) if m else (name, -1)
+def _unknown_key(name: str) -> tuple[int, str]:
+    """Solve order of the unknowns u0, u1, ..., u10, ...: every name is
+    u{i} (IntersectionTable.value), so shorter sorts first."""
+    return len(name), name
 
 
 def _poly(value) -> dict:
@@ -212,10 +180,10 @@ def solve_unknowns(
     the pivot rows, which by Cramer's rule is integral too.
     Pivoting takes the first nonzero entry in the current column, lowest
     row index first, so repeated runs are byte-identical. Raises
-    InconsistentSystem with a violated integer combination, RankDeficient
-    with the pinned/free split, or NotIntegral with the common
-    denominator and the numerators when the unique solution is not
-    integral.
+    ValueError naming the violated combination (0 = a nonzero right
+    side), the free unknowns, or, when the unique solution is not
+    integral, the first unknown in solve order that is not, with its
+    numerator and the common denominator |D|.
     """
     names: set[str] = set()
     for form, _ in equations:
@@ -258,11 +226,10 @@ def solve_unknowns(
     r = len(pivot_cols)
     for row in rows[r:]:
         if row[width]:
-            raise InconsistentSystem(row[width])
+            raise ValueError(f"inconsistent system: 0 = {format_poly(row[width])}")
     if r < width:
         free = [order[c] for c in range(width) if c not in pivot_cols]
-        pinned = [order[c] for c in pivot_cols]
-        raise RankDeficient(r, pinned, free)
+        raise ValueError(f"rank {r}: free unknowns {free}")
 
     # full rank: row k pivots on column k, and the last pivot is the
     # determinant D of the pivot rows; numerators[k] = |D| * unknown k
@@ -273,7 +240,9 @@ def solve_unknowns(
         for j in range(k + 1, width):
             acc = _combine(1, acc, rows[k][j], numerators[j])
         numerators[k] = {e: _exact(c, rows[k][k]) for e, c in acc.items()}
-    if any(c % denominator for terms in numerators for c in terms.values()):
-        raise NotIntegral(denominator, dict(zip(order, numerators)))
+    for name, numerator in zip(order, numerators):
+        if any(c % denominator for c in numerator.values()):
+            raise ValueError(f"solution is not integral: "
+                             f"{name} = ({format_poly(numerator)})/{denominator}")
     return {name: {e: c // denominator for e, c in numerators[i].items()}
             for i, name in enumerate(order)}

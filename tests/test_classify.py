@@ -323,6 +323,22 @@ def test_scan_funnel_is_pinned():
                                          if cid is None] == [CASE1, CASE2]
 
 
+def test_gate_share_of_the_base_is_pinned():
+    # without link 1's gate, the naive loop over the base: 1,666 of its
+    # 14,247 tuples have integral (c, d), 41 of those pass link 8, the
+    # gate removes 39 and 2 survive, so the gate does work no other link
+    # does
+    tuples = list(naive_tuples(4, BASE_N_MAX, gate=False))
+    assert len(tuples) == 14247
+    reach = [(n, a, *cd, m1, m2) for n, m1, m2, a in tuples
+             if (cd := constraints.katz_cd(n, a, m1, m2))]
+    assert len(reach) == 1666
+    first_failure = [next((cid for cid, ok in constraints.chain(*t) if not ok), None)
+                     for t in reach]
+    assert Counter(first_failure) == {"eh-divisibility": 1625, "cohomology-gate": 39, None: 2}
+    assert [t for t, cid in zip(reach, first_failure) if cid is None] == [CASE1, CASE2]
+
+
 def _a_ge_2_passing(n_lo, n_hi):
     """Every (n, m1, a, m2) with a >= 2 that passes links 1, 2 and 7, from
     the naive loop with no bound of scan.visits used."""
@@ -415,17 +431,28 @@ def test_exclude_case2_primes_come_from_the_divisors():
     assert detail == "alpha = 1, beta in [7, 17, 119] (primes [7, 17])"
 
 
-def _square_divisor(monkeypatch):
-    # y's constant -399 + 56 gives k | 14*37 - 343 = 175 = 5^2 * 7, which
-    # leaves room for alpha = 5
-    solve = classify.solve_unknowns
+def _shift_y(shift):
+    """Patch the solve so that y's constant -399 moves by shift."""
+    def patch(monkeypatch):
+        solve = classify.solve_unknowns
 
-    def shifted(equations):
-        solution = solve(equations)
-        solution["u7"] = {**solution["u7"], (0, 0): solution["u7"][(0, 0)] + 56}
-        return solution
+        def shifted(equations):
+            solution = solve(equations)
+            solution["u7"] = {**solution["u7"], (0, 0): solution["u7"][(0, 0)] + shift}
+            return solution
 
-    monkeypatch.setattr(classify, "solve_unknowns", shifted)
+        monkeypatch.setattr(classify, "solve_unknowns", shifted)
+    return patch
+
+
+# y's constant -399 + 56 gives k | 14*37 - 343 = 175 = 5^2 * 7, which
+# leaves room for alpha = 5
+_square_divisor = _shift_y(56)
+# y's constant -399 - 118 gives k | 14*37 - 517 = 1, which leaves only
+# alpha = beta = 1, and d2 = 1 is below the bound
+_unit_divisor = _shift_y(-118)
+_UNIT_DIVISOR_ERROR = ("k | 1 leaves only alpha = beta = 1, and d2 = 1 is below "
+                       "the bound: no contradiction")
 
 
 def test_exclude_case2_refuses_a_square_divisor(monkeypatch):
@@ -729,6 +756,7 @@ _BROKEN_STEPS = [
           lambda mp: mp.setattr(betti, "barth_larsen_forced", lambda n, m, i: False),
           "2 (a, b) pairs survive"),
     _case("case2-exclusion", _rank_deficient, "rank 3: free unknowns ['u9']"),
+    _case("case2-exclusion", _unit_divisor, _UNIT_DIVISOR_ERROR, "-unit-divisor"),
 ]
 
 
@@ -758,9 +786,10 @@ def test_a_failed_check_fails_its_step_only(step_id, break_step, error, monkeypa
     (["exclude-case2"], _rank_deficient, "rank 3: free unknowns ['u9']"),
     (["exclude-case2", "--json"], _inconsistent, "inconsistent system: 0 = 1"),
     (["exclude-case2"], _square_divisor, "175 is not squarefree; alpha not forced to 1"),
+    (["exclude-case2"], _unit_divisor, _UNIT_DIVISOR_ERROR),
     (["enumerate", "--json"], _refused_survivor,
      "kernel survivor (5, 1, 3, 2, 2, 1) does not reproduce under katz_cd"),
-], ids=["rank-deficient", "inconsistent", "square-divisor", "refused-survivor"])
+], ids=["rank-deficient", "inconsistent", "square-divisor", "unit-divisor", "refused-survivor"])
 def test_a_failed_check_is_one_error_line(argv, break_check, error, monkeypatch, capsys):
     break_check(monkeypatch)
     assert run_cli(argv) == 1

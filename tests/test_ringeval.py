@@ -10,11 +10,9 @@ from quadrocubic.lattice import solve_basis_change
 from quadrocubic.parser import parse_expr
 from quadrocubic.ringeval import (
     DegreeMismatch,
-    InconsistentSystem,
     IntersectionTable,
     LinearForm,
-    NotIntegral,
-    RankDeficient,
+    format_poly,
     solve_unknowns,
 )
 
@@ -224,19 +222,16 @@ def test_case2_numeric_substitution():
 
 def test_solve_inconsistent():
     eqs = [(unknown("u1"), 1), (unknown("u1"), 2)]
-    with pytest.raises(InconsistentSystem) as info:
+    with pytest.raises(ValueError) as info:
         solve_unknowns(eqs)
-    assert info.value.witness == {(0, 0): 1}
     assert str(info.value) == "inconsistent system: 0 = 1"
 
 
 def test_solve_rank_deficient():
     form = LinearForm(0, {"u1": 1, "u2": 1})
-    with pytest.raises(RankDeficient) as info:
+    with pytest.raises(ValueError) as info:
         solve_unknowns([(form, 3)])
-    assert info.value.rank == 1
-    assert info.value.pinned == ["u1"]
-    assert info.value.free == ["u2"]
+    assert str(info.value) == "rank 1: free unknowns ['u2']"
 
 
 def test_solve_rejects_a_coefficient_that_is_not_an_integer():
@@ -264,8 +259,10 @@ def test_solve_random_integer_systems():
             eqs.append((form, rhs))
         try:
             solution = solve_unknowns(eqs)
-        except (RankDeficient, InconsistentSystem):
-            continue  # random system happened to be singular
+        except ValueError as exc:
+            # the random system happened to be singular
+            assert str(exc).startswith(("rank ", "inconsistent system: "))
+            continue
         for i, v in enumerate(values):
             # an unknown whose coefficients were all zero never enters the
             # system; solve_unknowns cannot see it
@@ -273,45 +270,50 @@ def test_solve_random_integer_systems():
                 assert solution[f"u{i}"] == ({(0, 0): v} if v else {})
 
 
-def _cramer(matrix, rhs):
-    """Naive oracle: Cramer's rule, determinants by Laplace expansion."""
-    def det(m):
-        if len(m) == 1:
-            return Fraction(m[0][0])
-        return sum((-1) ** j * m[0][j] * det([row[:j] + row[j + 1:] for row in m[1:]])
-                   for j in range(len(m)))
+def _det(m):
+    """Determinant by Laplace expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
 
-    d = det(matrix)
-    return [det([row[:j] + [b] + row[j + 1:] for row, b in zip(matrix, rhs)]) / d
+
+def _cramer(matrix, rhs):
+    """Naive oracle: Cramer's rule, as exact fractions."""
+    d = _det(matrix)
+    return [Fraction(_det([row[:j] + [b] + row[j + 1:] for row, b in zip(matrix, rhs)]), d)
             for j in range(len(matrix))]
+
+
+def _system(matrix, rhs):
+    """The equations sum_j matrix[i][j] * u{j} = rhs[i]."""
+    return [(LinearForm(0, {f"u{j}": c for j, c in enumerate(row)}), b)
+            for row, b in zip(matrix, rhs)]
 
 
 def test_solve_with_pivots_two_and_three_is_exact():
     # elimination pivots on 2, then 3, then 1: every step divides. The
-    # solution is not integral, so it comes back as a common denominator
-    # and integer numerators, which must equal Cramer's rule exactly
+    # solution is not integral, so it is refused with the first unknown's
+    # numerator over |det| = 6; with the right sides times 6 it is
+    # integral, and must equal 6 times Cramer's rule exactly
     matrix = [[2, 1, 0], [4, 5, 1], [2, 4, 2]]
     rhs = [1, 4, 4]
-    eqs = [(LinearForm(0, {f"u{j}": c for j, c in enumerate(row)}), b)
-           for row, b in zip(matrix, rhs)]
-    with pytest.raises(NotIntegral) as info:
-        solve_unknowns(eqs)
-    expected = _cramer(matrix, rhs)
-    assert any(v.denominator != 1 for v in expected)
-    denominator, numerators = info.value.denominator, info.value.numerators
-    assert denominator > 0 and sorted(numerators) == ["u0", "u1", "u2"]
-    for j, value in enumerate(expected):
-        assert numerators[f"u{j}"].keys() <= {(0, 0)}
-        numerator = numerators[f"u{j}"].get((0, 0), 0)
-        assert type(numerator) is int
-        assert Fraction(numerator, denominator) == value
+    with pytest.raises(ValueError) as info:
+        solve_unknowns(_system(matrix, rhs))
     assert str(info.value) == "solution is not integral: u0 = (2)/6"
+    expected = _cramer(matrix, rhs)
+    assert _det(matrix) == 6 and any(v.denominator != 1 for v in expected)
+    solution = solve_unknowns(_system(matrix, [6 * b for b in rhs]))
+    assert solution == {f"u{j}": {(0, 0): 6 * v} for j, v in enumerate(expected)}
+    assert all(type(c) is int for p in solution.values() for c in p.values())
 
 
 def test_solve_integral_systems_match_cramer():
     # Bareiss elimination on random integral systems with polynomial right
-    # sides, against Cramer's rule: an integral solution comes back as
-    # polynomials, any other one as NotIntegral with the same exact values
+    # sides, against Cramer's rule. An integral solution comes back as
+    # polynomials. Any other one is refused, naming an unknown's numerator
+    # over |det|; solved again with the right sides times |det|, it must
+    # come back as |det| times Cramer's values, those numerators exactly
     rng = random.Random(4242)
     seen = {"integral": 0, "not integral": 0}
     for _ in range(120):
@@ -320,24 +322,27 @@ def test_solve_integral_systems_match_cramer():
         rhs = [{e: c for e, c in {(rng.randint(0, 1), rng.randint(0, 1)): rng.randint(-9, 9),
                                   (0, 0): rng.randint(-9, 9)}.items() if c}
                for _ in range(size)]
-        eqs = [(LinearForm(0, {f"u{j}": c for j, c in enumerate(row)}), b)
-               for row, b in zip(matrix, rhs)]
         if any(not any(row[j] for row in matrix) for j in range(size)):
             continue  # an unknown that no equation names
         try:
-            solution = solve_unknowns(eqs)
-            denominator, numerators = 1, solution
+            solution = solve_unknowns(_system(matrix, rhs))
+            scale = 1
             seen["integral"] += 1
-        except NotIntegral as exc:
-            denominator, numerators = exc.denominator, exc.numerators
+        except ValueError as exc:
+            if not str(exc).startswith("solution is not integral: "):
+                assert str(exc).startswith(("rank ", "inconsistent system: "))
+                continue  # singular
+            scale = abs(_det(matrix))
+            solution = solve_unknowns(
+                _system(matrix, [{e: scale * c for e, c in b.items()} for b in rhs]))
+            name = next(name for name, p in solution.items() if any(c % scale for c in p.values()))
+            assert str(exc) == (f"solution is not integral: "
+                                f"{name} = ({format_poly(solution[name])})/{scale}")
             seen["not integral"] += 1
-        except (RankDeficient, InconsistentSystem):
-            continue  # singular
         for exps in {(0, 0), (1, 0), (0, 1), (1, 1)}:
             expected = _cramer(matrix, [b.get(exps, 0) for b in rhs])
-            got = [Fraction(numerators[f"u{j}"].get(exps, 0), denominator)
-                   for j in range(size)]
-            assert got == expected
+            got = [solution[f"u{j}"].get(exps, 0) for j in range(size)]
+            assert got == [scale * v for v in expected]
     assert all(seen.values()), seen
 
 
