@@ -30,6 +30,9 @@ from .scan import BASE_N_MAX, scan_chunk
 
 CASE1 = (4, 1, 3, 2, 2, 1)
 CASE2 = (9, 1, 3, 2, 6, 4)
+# The premise d2 >= D2_MIN of the case-2 exclusion, read by both of its
+# paths; the docstring of exclude_case2 gives its source.
+D2_MIN = 2
 
 
 def scan_backend() -> str:
@@ -154,22 +157,26 @@ def exclude_case2() -> dict:
     """Rule out the tuple (9, 1, 3, 2, 6, 4) by the degree contradiction.
 
     Returns the `exclude-case2 --json` document, which is also verify's
-    `case2-exclusion` witness: alpha, the sorted beta candidates, the
-    bound on d2 as text, the contradiction, and as "chain" the
-    [step id, detail] pairs.
+    `case2-exclusion` witness: the sorted k candidates, the bound on d2 as
+    text, the contradiction, and as "chain" the [step id, detail] pairs.
 
     Solve the four-monomial system for x = u6 and y = u7 as polynomials
-    in d1, d2, and write d2 = alpha^4 * beta^2. Each path checks a
-    divisibility of x and y that the paper derives from the integrality of
-    the conormal bundle's Chern classes; both are taken as given here.
+    in d1, d2, and write d2 = alpha^4 * beta^2 = k^2 with k = alpha^2 * beta.
+    Each path checks a divisibility of x and y that the paper derives from
+    the integrality of the conormal bundle's Chern classes; both are taken
+    as given here.
 
-    Symbolic path: k = alpha^2 * beta divides x and y. Reduced modulo k
-    with d2 == 0 (mod k), eliminating d1 pins k | 119, hence alpha = 1 and
-    beta in {7, 17, 119}; every d2 = beta^2 violates the bound d2 < 32.
-    Had it pinned k | 1, only alpha = beta = 1 would be left, and d2 = 1
-    meets the bound: no contradiction, so that is a failure too.
+    Both paths also take as given the premise d2 >= D2_MIN = 2. Its source
+    is classical: a center of degree 1 is a linear P^4, and the blow-up of
+    P^9 along it is a P^5-bundle over P^4, whose second contraction is that
+    bundle's projection, not a blow-down.
 
-    Brute path: for every d2 in 2..31 and every factorization
+    Symbolic path: k divides x and y. Reduced modulo k with d2 == 0
+    (mod k), eliminating d1 pins k | 119. Each divisor k with
+    k^2 >= D2_MIN gives d2 = k^2, and check_degree_bound must refuse
+    every such d2 (here 49, 289 and 14161 against the bound d2 < 32).
+
+    Brute path: for every d2 in D2_MIN..31 and every factorization
     d2 = alpha^4 * beta^2, no residue of d1 satisfies both
     alpha^3 * beta^2 | x and alpha^2 * beta | y. Both paths must agree.
 
@@ -204,35 +211,22 @@ def exclude_case2() -> dict:
     )
     if resultant == 0:
         raise ExclusionFailure("modular elimination is vacuous")
-    if resultant == 1:
-        raise ExclusionFailure("k | 1 leaves only alpha = beta = 1, and d2 = 1 is below "
-                               "the bound: no contradiction")
-
-    # the divisors above 1, in order: the primes are those with no smaller
-    # divisor among them, and a square divisor would leave room for alpha
-    betas = [k for k in range(2, resultant + 1) if resultant % k == 0]
-    if any(resultant % (k * k) == 0 for k in betas):
-        raise ExclusionFailure(f"{resultant} is not squarefree; alpha not forced to 1")
-    alpha = 1
-    primes = [p for p in betas if all(p % q for q in betas if q < p)]
-    steps.append(("alpha-beta", f"alpha = 1, beta in {betas} (primes {primes})"))
 
     # the least degree check_degree_bound refuses; it passes every d2 below
     bound = next(d2 for d2 in itertools.count(1)
                  if not check_degree_bound(d2, d=d, a=a, n=n, m2=m2))
-    violations = []
-    for beta in betas:
-        d2 = alpha**4 * beta**2
-        if check_degree_bound(d2, d=d, a=a, n=n, m2=m2):
-            raise ExclusionFailure(f"beta = {beta} evades the degree bound")
-        violations.append(d2)
-    contradiction = f"{min(violations)} > {bound - 1}"
-    steps.append(("degree-bound", f"d2 = beta^2 in {violations}, all >= {min(violations)}; "
-                                  f"bound is {bound}: {contradiction}"))
+    ks = [k for k in range(1, resultant + 1) if resultant % k == 0 and k * k >= D2_MIN]
+    for k in ks:
+        if check_degree_bound(k * k, d=d, a=a, n=n, m2=m2):
+            raise ExclusionFailure(f"k = {k} evades the degree bound: d2 = {k * k}")
+    violations = [k * k for k in ks]
+    contradiction = (f"{violations[0]} > {bound - 1}" if violations
+                     else f"no k with k^2 >= {D2_MIN} divides {resultant}")
+    steps.append(("degree-bound", f"d2 = k^2 in {violations}; bound is {bound}: {contradiction}"))
 
     # brute cross-check over every admissible degree below the bound
     feasible = []
-    for d2 in range(2, bound):
+    for d2 in range(D2_MIN, bound):
         a_ = 1
         while a_**4 <= d2:
             if d2 % a_**4 == 0:
@@ -251,9 +245,9 @@ def exclude_case2() -> dict:
             a_ += 1
     if feasible:
         raise ExclusionFailure(f"brute scan found feasible configurations: {feasible}")
-    steps.append(("brute-scan", f"no feasible (alpha, beta) for any d2 in 2..{bound - 1}"))
+    steps.append(("brute-scan", f"no feasible (alpha, beta) for any d2 in {D2_MIN}..{bound - 1}"))
 
-    return {"alpha": alpha, "beta_candidates": betas, "d2_bound": str(bound),
+    return {"k_candidates": ks, "d2_bound": str(bound),
             "contradiction": contradiction, "chain": [list(s) for s in steps]}
 
 
@@ -283,7 +277,7 @@ def _check_lattice_symbolics() -> dict:
         if apply(m, *canonical_class(n, m1)) != canonical_class(n, m2):
             raise RuntimeError(f"canonical class at n={n}")
         checked += 1
-    return {"checked": checked, "failure": None}
+    return {"checked": checked}
 
 
 def verify_main_theorem(n_max: int = 200, ineq_max: int = 100000, workers: int = 1) -> dict:
@@ -334,7 +328,7 @@ def verify_main_theorem(n_max: int = 200, ineq_max: int = 100000, workers: int =
 
     def two_cases():
         tuples.extend(enumerate_candidates(BASE_N_MAX, workers=workers))
-        if set(tuples) != {CASE1, CASE2}:
+        if tuples != [CASE1, CASE2]:
             raise RuntimeError(f"survivors {tuples}, expected {[CASE1, CASE2]}")
         return {"n_max": n_max, "survivors": tuples,
                 # the case2-betti rows link 1's gate is derived from
@@ -360,10 +354,5 @@ def verify_main_theorem(n_max: int = 200, ineq_max: int = 100000, workers: int =
     failed = [s["id"] for s in steps if s["status"] != "pass"]
     excluded = [] if "case2-exclusion" in failed else [CASE2]
     final = [list(t) for t in tuples if t not in excluded]
-    if failed:
-        conclusion = f"refuted at step {failed[0]}"
-    elif final == [list(CASE1)]:
-        conclusion = "quadro-cubic unique"
-    else:
-        conclusion = "inconclusive: unexpected survivor set"
+    conclusion = f"refuted at step {failed[0]}" if failed else "quadro-cubic unique"
     return {"steps": steps, "survivors": final, "conclusion": conclusion}

@@ -188,20 +188,18 @@ def run_cli(argv: list[str] | None = None) -> int:
         print(text)
         return 0
 
-    if args.command == "exclude-case2":
-        try:
-            witness = exclude_case2()
-        except RuntimeError as exc:  # an ExclusionFailure
-            return _error(exc, 1)
-        if args.json:
-            sys.stdout.write(json.dumps(witness, indent=2) + "\n")
-        else:
-            for step_id, detail in witness["chain"]:
-                print(f"[{step_id}] {detail}")
-            print(f"contradiction: {witness['contradiction']}")
-        return 0
-
-    return 2
+    # the subparsers are required, so the command left is exclude-case2
+    try:
+        witness = exclude_case2()
+    except RuntimeError as exc:  # an ExclusionFailure
+        return _error(exc, 1)
+    if args.json:
+        sys.stdout.write(json.dumps(witness, indent=2) + "\n")
+    else:
+        for step_id, detail in witness["chain"]:
+            print(f"[{step_id}] {detail}")
+        print(f"contradiction: {witness['contradiction']}")
+    return 0
 
 
 def main() -> None:

@@ -131,8 +131,7 @@ def test_criterion_5_case2_betti():
 def test_criterion_6_case2_exclusion():
     witness = exclude_case2()
     ok = (
-        witness["alpha"] == 1
-        and witness["beta_candidates"] == [7, 17, 119]
+        witness["k_candidates"] == [7, 17, 119]
         and witness["d2_bound"] == "32"
         and witness["contradiction"] == "49 > 31"
         and dict(witness["chain"])["brute-scan"].startswith("no feasible")

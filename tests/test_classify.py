@@ -412,23 +412,30 @@ def test_exclusion_soundness():
 
 def test_exclude_case2_witness():
     witness = exclude_case2()
-    assert witness["alpha"] == 1
-    assert witness["beta_candidates"] == [7, 17, 119]
+    assert witness["k_candidates"] == [7, 17, 119]
     assert witness["d2_bound"] == "32"
     assert witness["contradiction"] == "49 > 31"
+    assert witness["chain"][2] == ["degree-bound",
+                                   "d2 = k^2 in [49, 289, 14161]; bound is 32: 49 > 31"]
     ids = [step_id for step_id, _ in witness["chain"]]
     assert ids == [
         "solve-monomials",
         "modular-elimination",
-        "alpha-beta",
         "degree-bound",
         "brute-scan",
     ]
 
 
-def test_exclude_case2_primes_come_from_the_divisors():
-    detail = dict(exclude_case2()["chain"])["alpha-beta"]
-    assert detail == "alpha = 1, beta in [7, 17, 119] (primes [7, 17])"
+def test_k_squared_rule_matches_the_alpha_beta_factorizations():
+    # naive oracle for the symbolic path's rule, with its own loops: the
+    # degrees d2 = alpha^4 * beta^2 >= 2 with alpha^2 * beta | r are the
+    # k^2 with k | r and k >= 2 (alpha and beta divide r, so r's divisors
+    # hold every candidate)
+    for r in range(1, 2001):
+        divisors = [q for q in range(1, r + 1) if r % q == 0]
+        factored = {alpha**4 * beta**2 for alpha in divisors for beta in divisors
+                    if r % (alpha**2 * beta) == 0 and alpha**4 * beta**2 >= 2}
+        assert factored == {k * k for k in divisors if k >= 2}, r
 
 
 def _shift_y(shift):
@@ -445,21 +452,42 @@ def _shift_y(shift):
     return patch
 
 
-# y's constant -399 + 56 gives k | 14*37 - 343 = 175 = 5^2 * 7, which
-# leaves room for alpha = 5
+# y's constant -399 + 56 gives k | 14*37 - 343 = 175 = 5^2 * 7, whose
+# divisor k = 5 gives d2 = 25, below the bound
 _square_divisor = _shift_y(56)
-# y's constant -399 - 118 gives k | 14*37 - 517 = 1, which leaves only
-# alpha = beta = 1, and d2 = 1 is below the bound
+_SQUARE_DIVISOR_ERROR = "k = 5 evades the degree bound: d2 = 25"
+# y's constant -399 - 118 gives k | 14*37 - 517 = 1: no d2 = k^2 meets
+# the premise d2 >= 2
 _unit_divisor = _shift_y(-118)
-_UNIT_DIVISOR_ERROR = ("k | 1 leaves only alpha = beta = 1, and d2 = 1 is below "
-                       "the bound: no contradiction")
+
+
+def _no_premise(monkeypatch):
+    """Drop the premise d2 >= 2: d2 = 1 is admitted, by both paths."""
+    monkeypatch.setattr(classify, "D2_MIN", 1)
+
+
+_NO_PREMISE_ERROR = "k = 1 evades the degree bound: d2 = 1"
 
 
 def test_exclude_case2_refuses_a_square_divisor(monkeypatch):
     _square_divisor(monkeypatch)
-    with pytest.raises(classify.ExclusionFailure,
-                       match=r"^175 is not squarefree; alpha not forced to 1$"):
+    with pytest.raises(classify.ExclusionFailure, match=f"^{_SQUARE_DIVISOR_ERROR}$"):
         exclude_case2()
+
+
+@pytest.mark.parametrize("argv", [["verify", "--n-max", "9", "--json"],
+                                  ["exclude-case2", "--json"]],
+                         ids=["verify", "exclude-case2"])
+def test_a_unit_divisor_leaves_no_degree_to_refute(argv, monkeypatch, capsys):
+    # with k | 1, no k^2 meets the premise, so the symbolic path has no
+    # candidate to refute, and the brute path finds none in 2..31
+    _unit_divisor(monkeypatch)
+    assert run_cli(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    witness = doc if argv[0] == "exclude-case2" else doc["steps"][4]["witness"]
+    assert witness["k_candidates"] == []
+    assert witness["contradiction"] == "no k with k^2 >= 2 divides 1"
+    assert witness["chain"][3] == ["brute-scan", "no feasible (alpha, beta) for any d2 in 2..31"]
 
 
 def test_exclude_case2_takes_its_bound_from_check_degree_bound(monkeypatch):
@@ -541,7 +569,7 @@ def test_case2_system_and_solution_stay_exact(monkeypatch):
 
 
 def test_lattice_symbolics_witness():
-    assert classify._check_lattice_symbolics() == {"checked": 97, "failure": None}
+    assert classify._check_lattice_symbolics() == {"checked": 97}
 
 
 def _wrong_inverse(monkeypatch):
@@ -580,7 +608,7 @@ def test_brute_scan_integers_match_exact_fractions(monkeypatch):
     monkeypatch.setattr(classify, "_eval_terms", spy)
     exclude_case2()
     expected_points = []
-    for d2 in range(2, 32):
+    for d2 in range(classify.D2_MIN, 32):
         for alpha in (1, 2):  # alpha^4 <= d2 < 32
             beta = math.isqrt(d2 // alpha**4)
             if d2 == alpha**4 * beta**2:
@@ -591,6 +619,23 @@ def test_brute_scan_integers_match_exact_fractions(monkeypatch):
         assert [(d1, d2) for d1, d2, _ in values] == expected_points
         for d1, d2, value in values:
             assert value == _fraction_value(solution[unknown], d1, d2)
+
+
+def test_the_brute_path_reads_the_premise(monkeypatch):
+    # a premise d2 >= 5 keeps every k^2 >= 49 and drops d2 = 4 from the
+    # brute range, whose other degrees alpha^4 * beta^2 are 9, 16 and 25
+    evaluate, seen = classify._eval_terms, set()
+
+    def spy(terms, d1, d2):
+        seen.add(d2)
+        return evaluate(terms, d1, d2)
+
+    monkeypatch.setattr(classify, "_eval_terms", spy)
+    monkeypatch.setattr(classify, "D2_MIN", 5)
+    witness = exclude_case2()
+    assert witness["k_candidates"] == [7, 17, 119]
+    assert dict(witness["chain"])["brute-scan"] == "no feasible (alpha, beta) for any d2 in 5..31"
+    assert seen == {9, 16, 25}
 
 
 def test_verify_main_theorem_default():
@@ -700,6 +745,11 @@ def _refused_survivor(monkeypatch):
                         lambda lo, hi: scan_chunk(lo, hi) + [(5, 1, 3, 2, 2, 1)])
 
 
+def _doubled_survivor(monkeypatch):
+    """The scan yields CASE1 twice."""
+    monkeypatch.setattr(classify, "_scan_range", lambda lo, hi: scan_chunk(lo, hi) + [CASE1])
+
+
 def _case2_rows(monkeypatch, rows):
     """The case-2 system becomes rows(original rows)."""
     system = classify._case2_system
@@ -752,11 +802,15 @@ _BROKEN_STEPS = [
     _case("theorem-2case", _wrong_gate(lambda n, m1: 4 * m1 >= 3 * n + 2),
           "survivors [(4, 1, 3, 2, 2, 1), (6, 3, 19, 10, 4, 3), (7, 2, 13, 5, 5, 3), "
           "(8, 3, 25, 13, 6, 5), (9, 1, 3, 2, 6, 4)], expected ", "-gate-shifted"),
+    # a survivor list is compared as a list, so a repeat is not lost in a set
+    _case("theorem-2case", _doubled_survivor,
+          "survivors [(4, 1, 3, 2, 2, 1), (4, 1, 3, 2, 2, 1), (9, 1, 3, 2, 6, 4)], expected ",
+          "-doubled-survivor"),
     _case("case2-betti",
           lambda mp: mp.setattr(betti, "barth_larsen_forced", lambda n, m, i: False),
           "2 (a, b) pairs survive"),
     _case("case2-exclusion", _rank_deficient, "rank 3: free unknowns ['u9']"),
-    _case("case2-exclusion", _unit_divisor, _UNIT_DIVISOR_ERROR, "-unit-divisor"),
+    _case("case2-exclusion", _no_premise, _NO_PREMISE_ERROR, "-no-premise"),
 ]
 
 
@@ -785,11 +839,11 @@ def test_a_failed_check_fails_its_step_only(step_id, break_step, error, monkeypa
 @pytest.mark.parametrize("argv, break_check, error", [
     (["exclude-case2"], _rank_deficient, "rank 3: free unknowns ['u9']"),
     (["exclude-case2", "--json"], _inconsistent, "inconsistent system: 0 = 1"),
-    (["exclude-case2"], _square_divisor, "175 is not squarefree; alpha not forced to 1"),
-    (["exclude-case2"], _unit_divisor, _UNIT_DIVISOR_ERROR),
+    (["exclude-case2"], _square_divisor, _SQUARE_DIVISOR_ERROR),
+    (["exclude-case2"], _no_premise, _NO_PREMISE_ERROR),
     (["enumerate", "--json"], _refused_survivor,
      "kernel survivor (5, 1, 3, 2, 2, 1) does not reproduce under katz_cd"),
-], ids=["rank-deficient", "inconsistent", "square-divisor", "unit-divisor", "refused-survivor"])
+], ids=["rank-deficient", "inconsistent", "square-divisor", "no-premise", "refused-survivor"])
 def test_a_failed_check_is_one_error_line(argv, break_check, error, monkeypatch, capsys):
     break_check(monkeypatch)
     assert run_cli(argv) == 1

@@ -556,8 +556,8 @@ def test_exclude_case2_json(capsys):
     code = run_cli(["exclude-case2", "--json"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert doc["alpha"] == 1
-    assert doc["beta_candidates"] == [7, 17, 119]
+    assert doc["k_candidates"] == [7, 17, 119]
+    assert "alpha" not in doc
     assert doc["d2_bound"] == "32"
     assert doc["contradiction"] == "49 > 31"
 
@@ -568,5 +568,5 @@ def test_exclude_case2_document_is_the_verify_witness(capsys):
     assert run_cli(["verify", "--n-max", "9", "--json"]) == 0
     steps = {s["id"]: s for s in json.loads(capsys.readouterr().out)["steps"]}
     assert steps["case2-exclusion"]["witness"] == excl
-    assert list(excl) == ["alpha", "beta_candidates", "d2_bound", "contradiction", "chain"]
+    assert list(excl) == ["k_candidates", "d2_bound", "contradiction", "chain"]
 
