@@ -14,22 +14,17 @@ __version__ = "0.1.0"
 from .classify import (
     CASE1,
     CASE2,
-    ExclusionFailure,
     enumerate_candidates,
     exclude_case2,
     verify_main_theorem,
 )
 from .evaluate import eval_expr
-from .parser import ParseError, parse_expr
-from .ringeval import DegreeMismatch
+from .parser import parse_expr
 
 __all__ = [
     "__version__",
     "CASE1",
     "CASE2",
-    "DegreeMismatch",
-    "ExclusionFailure",
-    "ParseError",
     "enumerate_candidates",
     "eval_expr",
     "exclude_case2",

@@ -60,7 +60,7 @@ def derive_case2_betti(n: int, m1: int, m2: int) -> dict:
     """Derive the even Betti numbers a, b of the m1- and m2-dimensional
     centers from blowup_even_betti. Returns verify's `case2-betti` witness:
     "a", "b", and as "derivation" [step id, detail] rows that say how many
-    candidate pairs each fact removed. Raises ValueError unless one pair
+    candidate pairs each fact removed. Raises RuntimeError unless one pair
     survives.
 
     Candidates: b is palindromic (Poincare duality) with b_0 = 1 (the
@@ -115,6 +115,6 @@ def derive_case2_betti(n: int, m1: int, m2: int) -> dict:
         rows.append([step_id, f"{detail}: removes {len(pairs) - len(kept)}, {len(kept)} left"])
         pairs = kept
     if len(pairs) != 1:
-        raise ValueError(f"{len(pairs)} (a, b) pairs survive: {pairs}")
+        raise RuntimeError(f"{len(pairs)} (a, b) pairs survive: {pairs}")
     (a, b), = pairs
     return {"a": list(a), "b": list(b), "derivation": rows}

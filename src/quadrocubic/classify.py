@@ -45,10 +45,6 @@ def scan_backend() -> str:
 _scan_range = scan_chunk
 
 
-class ExclusionFailure(RuntimeError):
-    """The exclusion chain did not reach the expected contradiction."""
-
-
 def _a1_rhs(n: int) -> int:
     """2^ceil((n-2)/4) * ceil((n-2)/4) * ceil((n+2)/4)."""
     e = (n + 1) // 4
@@ -176,20 +172,20 @@ def exclude_case2() -> dict:
     k^2 >= D2_MIN gives d2 = k^2, and check_degree_bound must refuse
     every such d2 (here 49, 289 and 14161 against the bound d2 < 32).
 
-    Brute path: for every d2 in D2_MIN..31 and every factorization
-    d2 = alpha^4 * beta^2, no residue of d1 satisfies both
+    Brute path: for every d2 = k^2 in D2_MIN..31 and every factorization
+    k = alpha^2 * beta, no residue of d1 satisfies both
     alpha^3 * beta^2 | x and alpha^2 * beta | y. Both paths must agree.
 
     Both read x and y in integers: the solver refuses a solution that is
     not integral, and that fails before either path. Any failure, of the
-    solver or of a step, raises ExclusionFailure.
+    solver or of a step, raises RuntimeError.
     """
     n, a, _, d, _, m2 = CASE2
     steps: list[tuple[str, str]] = []
     try:
         solution = solve_unknowns(_case2_system())
     except ValueError as exc:  # not integral, rank-deficient or inconsistent
-        raise ExclusionFailure(str(exc)) from exc
+        raise RuntimeError(str(exc)) from exc
     x, y = solution["u6"], solution["u7"]
     steps.append(("solve-monomials", f"x = {format_poly(x)}; y = {format_poly(y)}"))
 
@@ -198,19 +194,19 @@ def exclude_case2() -> dict:
     def linear_in_d1_mod_d2(p):
         low = {i: c for (i, j), c in p.items() if j == 0}
         if low.keys() - {0, 1}:
-            raise ExclusionFailure(f"{format_poly(p)} is not linear in d1 modulo d2")
+            raise RuntimeError(f"{format_poly(p)} is not linear in d1 modulo d2")
         return low.get(0, 0), low.get(1, 0)
 
     x0, x1 = linear_in_d1_mod_d2(x)
     y0, y1 = linear_in_d1_mod_d2(y)
     if abs(x1) != 1:
-        raise ExclusionFailure("d1-coefficient of x is not a unit; elimination invalid")
+        raise RuntimeError("d1-coefficient of x is not a unit; elimination invalid")
     resultant = abs(x1 * y0 - y1 * x0)
-    steps.append(
-        ("modular-elimination", f"k | {y1}*{-x0} - {x1}*{-y0}, i.e. k | {resultant}")
-    )
+    # negative factors in parentheses: "(-14)*37", never "- -1*399"
+    p, q, r, s = (f"({v})" if v < 0 else str(v) for v in (y1, -x0, x1, -y0))
+    steps.append(("modular-elimination", f"k | {p}*{q} - {r}*{s}, i.e. k | {resultant}"))
     if resultant == 0:
-        raise ExclusionFailure("modular elimination is vacuous")
+        raise RuntimeError("modular elimination is vacuous")
 
     # the least degree check_degree_bound refuses; it passes every d2 below
     bound = next(d2 for d2 in itertools.count(1)
@@ -218,33 +214,31 @@ def exclude_case2() -> dict:
     ks = [k for k in range(1, resultant + 1) if resultant % k == 0 and k * k >= D2_MIN]
     for k in ks:
         if check_degree_bound(k * k, d=d, a=a, n=n, m2=m2):
-            raise ExclusionFailure(f"k = {k} evades the degree bound: d2 = {k * k}")
+            raise RuntimeError(f"k = {k} evades the degree bound: d2 = {k * k}")
     violations = [k * k for k in ks]
     contradiction = (f"{violations[0]} > {bound - 1}" if violations
                      else f"no k with k^2 >= {D2_MIN} divides {resultant}")
     steps.append(("degree-bound", f"d2 = k^2 in {violations}; bound is {bound}: {contradiction}"))
 
-    # brute cross-check over every admissible degree below the bound
+    # brute cross-check over every admissible degree d2 = k^2 below the bound
     feasible = []
-    for d2 in range(D2_MIN, bound):
-        a_ = 1
-        while a_**4 <= d2:
-            if d2 % a_**4 == 0:
-                beta_sq = d2 // a_**4
-                beta = math.isqrt(beta_sq)
-                if beta * beta == beta_sq:
-                    mod_x = a_**3 * beta**2
-                    mod_y = a_**2 * beta
-                    period = math.lcm(mod_x, mod_y)
-                    for d1 in range(period):
-                        xv = _eval_terms(x, d1, d2)
-                        yv = _eval_terms(y, d1, d2)
-                        if xv % mod_x == 0 and yv % mod_y == 0:
-                            feasible.append((a_, beta, d2, d1))
-                            break
-            a_ += 1
+    for k in range(1, math.isqrt(bound - 1) + 1):  # k^2 < bound
+        d2 = k * k
+        if d2 < D2_MIN:
+            continue
+        for alpha in range(1, math.isqrt(k) + 1):
+            if k % alpha**2:
+                continue
+            beta = k // alpha**2
+            mod_x, mod_y = alpha**3 * beta**2, alpha**2 * beta
+            for d1 in range(math.lcm(mod_x, mod_y)):
+                xv = _eval_terms(x, d1, d2)
+                yv = _eval_terms(y, d1, d2)
+                if xv % mod_x == 0 and yv % mod_y == 0:
+                    feasible.append((alpha, beta, d2, d1))
+                    break
     if feasible:
-        raise ExclusionFailure(f"brute scan found feasible configurations: {feasible}")
+        raise RuntimeError(f"brute scan found feasible configurations: {feasible}")
     steps.append(("brute-scan", f"no feasible (alpha, beta) for any d2 in {D2_MIN}..{bound - 1}"))
 
     return {"k_candidates": ks, "d2_bound": str(bound),
@@ -287,11 +281,13 @@ def verify_main_theorem(n_max: int = 200, ineq_max: int = 100000, workers: int =
     "steps", each a dict of "id", "status" and "witness", the
     "survivors" as lists, and the "conclusion".
 
-    Each step is a check that returns its witness, or raises ValueError
-    or RuntimeError naming what failed; it is recorded as "pass" with the
-    witness, or as "fail" with {"error": message}, and the later steps
-    still run. The first failed step refutes the verdict. This function
-    itself raises only the ValueError of its n_max check.
+    Each step is a check that returns its witness, or raises RuntimeError
+    naming what failed; it is recorded as "pass" with the witness, or as
+    "fail" with {"error": message}, and the later steps still run. A
+    ValueError from inside a step is recorded the same way, so that it
+    is not reported as a wrong n_max. The first failed step refutes the
+    verdict. This function itself raises only the ValueError of its n_max
+    check.
 
     The verdict rests on lemmas proved for every n: the a = 1 and
     a >= 2 branches of the scan (docstring of scan.visits) and the failure

@@ -8,6 +8,11 @@ Commands:
 
 Exit codes: 0 on success / positive verdict, 1 on a negative or refuted
 verdict or a failed check, 2 on usage or parse errors.
+
+The package raises built-in exceptions only: ValueError for a wrong input
+and RuntimeError for a failed check. A ValueError from an argument check
+or from `parse_expr` exits 2; one from `eval_expr`, whose input parsed but
+does not evaluate, exits 1, as does a RuntimeError.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import sys
 
 from . import __version__
 from .classify import enumerate_candidates, exclude_case2, verify_main_theorem
-from .parser import ParseError, clip, parse_expr, quote
+from .parser import clip, parse_expr, quote
 from .evaluate import eval_expr
 
 # The longest message of a usage error that argparse reports, in bytes.
@@ -174,10 +179,10 @@ def run_cli(argv: list[str] | None = None) -> int:
             return _error(f"need 1 <= m <= n-2, got n={clip(args.n)}, m={clip(args.m)}")
         try:
             ast = parse_expr(args.expr)
-        except ParseError as exc:
+        except ValueError as exc:  # a syntax error
             return _error(exc)
         try:
-            # a DegreeMismatch and the expander's budgets are ValueErrors
+            # a wrong degree, or an expansion past the expander's budgets
             form = eval_expr(ast, args.n, args.m, deg)
         except ValueError as exc:
             return _error(exc, 1)
@@ -191,7 +196,7 @@ def run_cli(argv: list[str] | None = None) -> int:
     # the subparsers are required, so the command left is exclude-case2
     try:
         witness = exclude_case2()
-    except RuntimeError as exc:  # an ExclusionFailure
+    except RuntimeError as exc:  # a step, or the solver, failed
         return _error(exc, 1)
     if args.json:
         sys.stdout.write(json.dumps(witness, indent=2) + "\n")

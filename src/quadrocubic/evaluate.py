@@ -9,7 +9,7 @@ Every coefficient is an int.
 from __future__ import annotations
 
 from .parser import Node, clip
-from .ringeval import DegreeMismatch, IntersectionTable, LinearForm
+from .ringeval import IntersectionTable, LinearForm
 
 # sparse polynomial in H, E, d1, d2: {(t, e, i, j): integer coefficient of
 # H^(t-e) E^e d1^i d2^j}, keyed by the degree t in (H, E) first, so that
@@ -40,8 +40,8 @@ def _mul(p: Expansion, q: Expansion, n: int) -> Expansion:
     if p and q:
         top = max(p)[0] + max(q)[0]
         if top > n:
-            raise DegreeMismatch(f"expected homogeneous degree {clip(n)}, "
-                                 f"found a product of degree {clip(top)}")
+            raise ValueError(f"expected homogeneous degree {clip(n)}, "
+                             f"found a product of degree {clip(top)}")
         p_bits = max(map(abs, p.values())).bit_length()
         q_bits = max(map(abs, q.values())).bit_length()
         if p_bits + q_bits > MAX_COEFFICIENT_BITS:
@@ -77,15 +77,13 @@ def _expand(node: Node, n: int) -> Expansion:
         base = _expand(base, n)
         top = max(base)[0] if base else 0
         if exponent > n:
-            if top:
-                raise DegreeMismatch(f"exponent {clip(exponent)} exceeds n = {clip(n)} "
-                                     f"on a base of positive degree")
-            raise ValueError(f"exponent {clip(exponent)} exceeds n = {clip(n)} on a scalar base")
+            raise ValueError(f"exponent {clip(exponent)} exceeds n = {clip(n)} on a "
+                             f"{'base of positive degree' if top else 'scalar base'}")
         if top * exponent > n:
             # the degree that multiplying by the base one factor at a time
             # would reach first
-            raise DegreeMismatch(f"expected homogeneous degree {clip(n)}, "
-                                 f"found a product of degree {clip((n // top + 1) * top)}")
+            raise ValueError(f"expected homogeneous degree {clip(n)}, "
+                             f"found a product of degree {clip((n // top + 1) * top)}")
         result: Expansion = {(0, 0, 0, 0): 1}
         k = exponent
         while k:
@@ -118,7 +116,7 @@ def eval_expr(ast: Node, n: int, m: int, deg) -> LinearForm:
     expansion = _expand(ast, n)
     bad = sorted(t for t, _, _, _ in expansion if t != n)
     if bad:
-        raise DegreeMismatch(f"expected homogeneous degree {clip(n)}, found degree {clip(bad[0])}")
+        raise ValueError(f"expected homogeneous degree {clip(n)}, found degree {clip(bad[0])}")
     # the d1, d2 coefficient of each H^(n-k) E^k
     by_e: dict[int, dict[tuple[int, int], int]] = {}
     for (_, e, i, j), coeff in expansion.items():

@@ -54,16 +54,10 @@ def clip(value: int) -> str:
     return text if digits <= ECHO_MAX else text[:ECHO_MAX - len(tail)] + tail
 
 
-class ParseError(ValueError):
-    """Syntax error with 1-based column position and expected tokens."""
-
-    def __init__(self, column: int, expected: tuple[str, ...], found: str):
-        self.column = column
-        self.expected = expected
-        self.found = found
-        super().__init__(
-            f"column {column}: expected {' or '.join(expected)}, found {found}"
-        )
+def _syntax_error(column: int, expected: tuple[str, ...], found: str) -> ValueError:
+    """The parser's one error: its 1-based column, the tokens it expected
+    there and what it found instead."""
+    return ValueError(f"column {column}: expected {' or '.join(expected)}, found {found}")
 
 
 Node = int | str | tuple
@@ -101,7 +95,7 @@ def _tokenize(text: str):
             yield ("name", text[i:j], col)
             i = j
         else:
-            raise ParseError(col, ("expression token",), repr(ch))
+            raise _syntax_error(col, ("expression token",), repr(ch))
     yield ("end", "", len(text) + 1)
 
 
@@ -113,7 +107,7 @@ def _found(value: str) -> str:
 class _Parser:
     def __init__(self, text: str):
         if not text.strip():
-            raise ParseError(1, ("expression",), "end of input")
+            raise _syntax_error(1, ("expression",), "end of input")
         self.tokens = list(_tokenize(text))
         self.pos = 0
         self.depth = 0  # groups open at the current token
@@ -129,24 +123,24 @@ class _Parser:
     def expect_op(self, op: str):
         kind, value, col = self.peek()
         if kind != "op" or value != op:
-            raise ParseError(col, (repr(op),), _found(value))
+            raise _syntax_error(col, (repr(op),), _found(value))
         return self.advance()
 
     def unsigned(self) -> int:
         kind, value, col = self.peek()
         if kind != "uint":
-            raise ParseError(col, ("unsigned integer",), _found(value))
+            raise _syntax_error(col, ("unsigned integer",), _found(value))
         self.advance()
         try:
             return int(value)
         except ValueError:  # longer than the interpreter's int-string limit
-            raise ParseError(col, ("shorter integer",), f"{len(value)}-digit integer") from None
+            raise _syntax_error(col, ("shorter integer",), f"{len(value)}-digit integer") from None
 
     def parse(self) -> Node:
         node = self.expr()
         kind, value, col = self.peek()
         if kind != "end":
-            raise ParseError(col, ("'+'", "'-'", "'*'", "end of input"), quote(value))
+            raise _syntax_error(col, ("'+'", "'-'", "'*'", "end of input"), quote(value))
         return node
 
     def expr(self) -> Node:
@@ -187,22 +181,18 @@ class _Parser:
             if value in ("H", "E", "d1", "d2"):
                 self.advance()
                 return value
-            raise ParseError(col, ("'H'", "'E'", "'d1'", "'d2'"), quote(value))
+            raise _syntax_error(col, ("'H'", "'E'", "'d1'", "'d2'"), quote(value))
         if kind == "op" and value == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(col, (f"at most {MAX_NESTING} nested groups",),
-                                 f"'(' at depth {MAX_NESTING + 1}")
+                raise _syntax_error(col, (f"at most {MAX_NESTING} nested groups",),
+                                    f"'(' at depth {MAX_NESTING + 1}")
             self.advance()
             self.depth += 1
             inner = self.expr()
             self.expect_op(")")
             self.depth -= 1
             return inner
-        raise ParseError(
-            col,
-            ("integer", "'H'", "'E'", "'d1'", "'d2'", "'('"),
-            _found(value),
-        )
+        raise _syntax_error(col, ("integer", "'H'", "'E'", "'d1'", "'d2'", "'('"), _found(value))
 
 
 def parse_expr(text: str) -> Node:

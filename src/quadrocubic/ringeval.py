@@ -48,10 +48,6 @@ def format_poly(p: dict) -> str:
     return signed_join(_terms(p))
 
 
-class DegreeMismatch(ValueError):
-    """Total degree of an expression does not match the chart dimension."""
-
-
 def _unknown_key(name: str) -> tuple[int, str]:
     """Solve order of the unknowns u0, u1, ..., u10, ...: every name is
     u{i} (IntersectionTable.value), so shorter sorts first."""
@@ -126,7 +122,7 @@ class IntersectionTable:
         """Entry i: the name of its unknown, or its constant value as the
         monomial (coefficient, exponents of d1 and d2)."""
         if not (0 <= i <= self.n):
-            raise DegreeMismatch(f"exponent {i} outside 0..{self.n}")
+            raise ValueError(f"exponent {i} outside 0..{self.n}")
         codim = self.n - self.m
         if i == 0:
             return 1, (0, 0)

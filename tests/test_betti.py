@@ -255,7 +255,7 @@ def test_agreement_is_checked_at_every_degree(monkeypatch):
     n, _, m2 = CASE2_DIMS
     monkeypatch.setattr(betti, "blowup_even_betti", lambda center, n_, m, k:
                         formula(center, n_, m, k) + (m == m2 and k == n))
-    with pytest.raises(ValueError, match=r"^0 \(a, b\) pairs survive"):
+    with pytest.raises(RuntimeError, match=r"^0 \(a, b\) pairs survive"):
         derive_case2_betti(*CASE2_DIMS)
 
 
@@ -303,7 +303,7 @@ def test_pair_is_not_unique_without_barth_larsen():
 ])
 def test_no_unique_pair_fails_the_step(monkeypatch, forced, survivors):
     monkeypatch.setattr(betti, "barth_larsen_forced", lambda n, m, i: forced)
-    with pytest.raises(ValueError, match=f"^{survivors} \\(a, b\\) pairs survive"):
+    with pytest.raises(RuntimeError, match=f"^{survivors} \\(a, b\\) pairs survive"):
         derive_case2_betti(*CASE2_DIMS)
     out = io.StringIO()
     with redirect_stdout(out):

@@ -179,6 +179,15 @@ def test_package_import_leaves_out_fractions():
     assert proc.stdout == "False False\n"
 
 
+def test_package_exports_no_exception_class():
+    # a wrong input raises ValueError and a failed check RuntimeError, so
+    # the package has no exception class to export
+    assert quadrocubic.__all__ == ["__version__", "CASE1", "CASE2", "enumerate_candidates",
+                                   "eval_expr", "exclude_case2", "parse_expr",
+                                   "verify_main_theorem"]
+    assert all(hasattr(quadrocubic, name) for name in quadrocubic.__all__)
+
+
 @pytest.mark.parametrize("n, expr, out, err", [
     (10000, "(H+E)^10000", "", "term pairs"),
     (120, "(H+E+d1+d2)^120", "", "term pairs"),

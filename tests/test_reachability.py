@@ -49,9 +49,8 @@ COMMANDS = [
 ]
 
 # The functions no command enters, each with its reason. A failed check
-# needs no entry: the solver raises plain ValueErrors inside
-# solve_unknowns, and ParseError's constructor runs on the parse error
-# above.
+# needs no entry: the package raises only ValueError and RuntimeError, and
+# parser._syntax_error builds the parse error above.
 ALLOWED = {
     # the console script's entry point, which calls run_cli
     "cli.main",
