@@ -2,7 +2,7 @@
 
 `verify_main_theorem` runs five steps: the lattice basis change; the
 failure of the multiplicity-one inequality above n = 18, by a proved
-lemma (base values 19..22 plus the stride-4 lemma it cites); the
+lemma (base: scan.BASE_N_MAX + 1..+4, plus the stride-4 lemma); the
 enumeration of candidate tuples under the full constraint chain, which
 must reproduce the two cases CASE1 and CASE2; the derived Betti numbers
 of the nine-dimensional case; and its exclusion, twice (symbolic modular
@@ -26,10 +26,9 @@ from .evaluate import eval_expr
 from .lattice import apply, canonical_class, inverse, solve_basis_change
 from .parser import clip, parse_expr
 from .ringeval import IntersectionTable, format_poly, solve_unknowns
-from .scan import BASE_N_MAX, scan_chunk
+from . import scan
+from .scan import CASE1, CASE2, scan_chunk
 
-CASE1 = (4, 1, 3, 2, 2, 1)
-CASE2 = (9, 1, 3, 2, 6, 4)
 # The premise d2 >= D2_MIN of the case-2 exclusion, read by both of its
 # paths; the docstring of exclude_case2 gives its source.
 D2_MIN = 2
@@ -64,8 +63,8 @@ def a1_inequality_holds(n: int) -> bool:
     link 2's left side at a = 2 and e1 = ceil((n-2)/4), below which link
     1's gate is on, so the lemma also stops the a >= 2 scan at n = 18
     (see scan.visits). verify_main_theorem evaluates both functions on
-    the base, and this one also on the low range 4..18, which the lemma
-    does not cover.
+    the base, taken as the stride after scan.BASE_N_MAX, and this one also
+    on the paper's low range 4..18, which the lemma does not cover.
     """
     return (n + 1) ** 2 > _a1_rhs(n)
 
@@ -108,14 +107,14 @@ def _attribute(raw: tuple) -> tuple[int, int, int, int, int, int]:
 def enumerate_candidates(n_max: int, workers: int = 1) -> list[tuple[int, ...]]:
     """All tuples (n, a, c, d, m1, m2) with 4 <= n <= n_max passing the
     full constraint chain, sorted by (n, a, m1). The lemmas of
-    scan.visits leave no survivor above BASE_N_MAX, so only
-    4..min(n_max, BASE_N_MAX) is scanned.
+    scan.visits leave no survivor above scan.BASE_N_MAX, so only
+    4..min(n_max, scan.BASE_N_MAX) is scanned.
     That range is split into at most `workers` chunks of equal width,
     scanned one after another in this process; any split yields the same
     list, and no split makes more chunks than the range has values of n."""
     if n_max < 4:
         raise ValueError(f"need n_max >= 4, got {clip(n_max)}")
-    n_hi = min(n_max, BASE_N_MAX)
+    n_hi = min(n_max, scan.BASE_N_MAX)
     chunk = -(-(n_hi - 3) // max(workers, 1))  # ceiling: at most `workers` chunks
     raw = [t for lo in range(4, n_hi + 1, chunk)
            for t in _scan_range(lo, min(lo + chunk - 1, n_hi))]
@@ -293,37 +292,38 @@ def verify_main_theorem(n_max: int = 200, ineq_max: int = 100000, workers: int =
     a >= 2 branches of the scan (docstring of scan.visits) and the failure
     of the multiplicity-one inequality above n = 18 (a1_inequality_holds,
     a1_ratio_stride_increases), which cuts the a >= 2 branch there. Only
-    their finite bases are evaluated: the scan always covers
-    4..BASE_N_MAX, the inequality 19..22. n_max and ineq_max only set the
-    ranges the report states.
+    their finite bases are evaluated: the scan covers 4..scan.BASE_N_MAX,
+    the inequality the stride after it, and "low_range" quotes the paper.
+    n_max and ineq_max only set the ranges the report states.
     """
-    if n_max < 9:
+    if n_max < CASE2[0]:
         raise ValueError(f"need n_max >= 9: n_max is the stated range, and it must "
                          f"reach the second case at n = 9; got {clip(n_max)}")
-    # by the lemma of a1_inequality_holds, the base 19..22 settles every
-    # n >= 19, so the stated range costs nothing; the scan stops at 18 on it
+    # by the lemma of a1_inequality_holds, one stride of base settles every
+    # n above it, so the stated range costs nothing; the scan stops below it
+    last = scan.BASE_N_MAX
     ineq_hi = max(ineq_max, 10**5, n_max)
-    base = range(19, 23)
+    base = range(last + 1, last + 5)
     tuples: list[tuple[int, ...]] = []
 
     def inequality_range():
         holdouts = [n for n in base if a1_inequality_holds(n)]
         if holdouts:
-            raise RuntimeError(f"the inequality holds above 18 at n = {holdouts}")
-        # The paper states the inequality on all of 4..18; exact evaluation
-        # fails at 15 and 16. Recorded, not gated: the scan covers 4..18
-        # directly, so no verdict step rests on the low range.
+            raise RuntimeError(f"the inequality holds above {last} at n = {holdouts}")
+        # The paper states the inequality on all of 4..18, and this range
+        # quotes it, not the scan's base; exact evaluation fails at 15 and 16.
+        # Recorded, not gated: no verdict step rests on the low range.
         low_fails = [n for n in range(4, 19) if not a1_inequality_holds(n)]
         # the stride lemma the proof cites, proved for every n >= 9
         flat = [n for n in base if not a1_ratio_stride_increases(n)]
         if flat:
             raise RuntimeError(f"the ratio does not grow along the stride at n = {flat}")
-        return {"range": [19, ineq_hi], "stride": 4,
+        return {"range": [last + 1, ineq_hi], "stride": 4,
                 "low_range": [4, 18], "fails_in_low_range": low_fails,
                 "verdict_uses_low_range": False}
 
     def two_cases():
-        tuples.extend(enumerate_candidates(BASE_N_MAX, workers=workers))
+        tuples.extend(enumerate_candidates(last, workers=workers))
         if tuples != [CASE1, CASE2]:
             raise RuntimeError(f"survivors {tuples}, expected {[CASE1, CASE2]}")
         return {"n_max": n_max, "survivors": tuples,
@@ -332,7 +332,7 @@ def verify_main_theorem(n_max: int = 200, ineq_max: int = 100000, workers: int =
                 "imported_facts": ["barth-larsen", "blowup-agreement"],
                 "coverage": {"a1": "all n, by the closed-form lemma",
                              "a_ge_2": "all n, by the gate lemma and the inequality above n = 18",
-                             "a_ge_2_base": [4, BASE_N_MAX]}}
+                             "a_ge_2_base": [4, last]}}
 
     steps: list[dict] = []
     for step_id, check in (

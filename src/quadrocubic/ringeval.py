@@ -107,7 +107,7 @@ class LinearForm:
 class IntersectionTable:
     """Values of H^(n-i) E^i on a chart whose center has dimension m.
 
-    deg is the center degree: an integer, or the symbol 'd1'/'d2'.
+    deg is the center degree: an integer >= 1, or the symbol 'd1'/'d2'.
     Entries above the center codimension are the unknowns u_i.
     """
 
@@ -116,6 +116,8 @@ class IntersectionTable:
     def __init__(self, n: int, m: int, deg):
         if not (1 <= m <= n - 2):
             raise ValueError(f"need 1 <= m <= n-2, got n={n}, m={m}")
+        if not (deg in SYMBOLS or type(deg) is int and deg >= 1):  # a bool is refused
+            raise ValueError(f"need deg d1, d2 or an integer >= 1, got {deg!r}")
         self.n, self.m, self.deg = n, m, deg
 
     def value(self, i: int) -> str | tuple[int, tuple[int, int]]:

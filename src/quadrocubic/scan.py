@@ -19,9 +19,10 @@ from .constraints import chain, katz_cd
 
 Survivor = tuple[int, int, int, int, int, int]
 
-# n -> (m1, m2) of the only tuples with a = 1 that pass the chain, for any
-# n; see the lemma in `visits`.
-_A1_LEMMA = {4: (2, 1), 9: (6, 4)}
+# The only tuples with a = 1 that pass the chain, for any n (lemma in `visits`).
+CASE1 = (4, 1, 3, 2, 2, 1)
+CASE2 = (9, 1, 3, 2, 6, 4)
+_A1_LEMMA = {c[0]: c[4:] for c in (CASE1, CASE2)}
 
 # The last n the loops of `visits` reach; its lemmas leave no tuple above.
 BASE_N_MAX = 18

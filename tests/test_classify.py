@@ -699,6 +699,21 @@ def test_verify_scope_stated_in_report():
         "a_ge_2_base": [4, 18]}
 
 
+def test_verify_reads_the_base_from_scan(monkeypatch, capsys):
+    # one patch of scan.BASE_N_MAX moves the scan's base and the
+    # inequality's together, so the two still meet; the low range quotes
+    # the paper and stays
+    monkeypatch.setattr(scan, "BASE_N_MAX", 25)
+    report = verify_main_theorem(9)
+    assert report["conclusion"] == "quadro-cubic unique"
+    steps = {s["id"]: s["witness"] for s in report["steps"]}
+    assert steps["a1-inequality-range"]["range"][0] == 26
+    assert steps["a1-inequality-range"]["low_range"] == [4, 18]
+    assert steps["theorem-2case"]["coverage"]["a_ge_2_base"] == [4, 25]
+    assert run_cli(["verify", "--n-max", "9"]) == 0
+    assert capsys.readouterr().out.endswith("conclusion: quadro-cubic unique\n")
+
+
 def test_verify_settles_the_inequality_with_a_fixed_call_budget(monkeypatch):
     # the lemmas leave 15 low-range and 4 base evaluations of the
     # inequality and 4 of the stride probe, whatever range is stated; the
@@ -794,6 +809,10 @@ _BROKEN_STEPS = [
     _case("a1-inequality-range",
           lambda mp: mp.setattr(classify, "a1_ratio_stride_increases", lambda n: False),
           "the ratio does not grow along the stride at n = [19, 20, 21, 22]", "-stride"),
+    # the inequality's base is the stride after the scan's, so a scan cut
+    # short leaves n = 18 to a base where the inequality still holds
+    _case("a1-inequality-range", lambda mp: mp.setattr(scan, "BASE_N_MAX", 17),
+          "the inequality holds above 17 at n = [18]", "-base-cut-short"),
     _case("theorem-2case", _refused_survivor,
           "kernel survivor (5, 1, 3, 2, 2, 1) does not reproduce under katz_cd"),
     # the scan reads the gate, so a wrong one lets it into the region the

@@ -1,6 +1,7 @@
 """Tests for intersection tables, symbolic expansion, and the exact solver."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,16 @@ def test_table_validation():
         IntersectionTable(9, 8, "d2")
     with pytest.raises(ValueError):
         IntersectionTable(9, 0, "d2")
+
+
+@pytest.mark.parametrize("deg", [0, -3, True, "d3", "D1", None, 2.5],
+                         ids=["zero", "negative", "bool", "d3", "D1", "none", "float"])
+def test_eval_expr_refuses_a_wrong_center_degree(deg):
+    # the table takes "d1", "d2" or an int >= 1; a bool is an int to
+    # isinstance, so one would evaluate as a degree of 1
+    with pytest.raises(ValueError, match=r"need deg d1, d2 or an integer >= 1, got "
+                                         + re.escape(repr(deg)) + "$"):
+        eval_expr(parse_expr("H^4 E^5 + H^3 E^6"), 9, 4, deg)
 
 
 def test_expand_first_system_equation():
